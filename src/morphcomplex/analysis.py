@@ -109,19 +109,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, bool]:
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
-    va = np.asarray(values, dtype=float)
-    order = np.argsort(va, kind="stable")
-    ranks = np.empty(len(va))
-    i = 0
-    while i < len(va):
-        j = i
-        while j + 1 < len(va) and va[order[j + 1]] == va[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    return scipy_stats.rankdata(np.asarray(values, dtype=float), method="average")
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, bool]:
@@ -211,45 +199,6 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
     return PcaResult(loadings=vt, scores=scores, explained_ratios=ratios)
 
 
-def _augment(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Append an intercept column and the matching penalty mask."""
-    ones = np.ones((x.shape[0], 1))
-    x1 = np.hstack([x, ones])
-    penalty = np.ones(x1.shape[1])
-    penalty[-1] = 0.0  # intercept is never shrunk
-    return x1, penalty
-
-
-def ridge_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """Closed-form ridge solution; the intercept is not penalized."""
-    x1, penalty = _augment(np.asarray(x, dtype=float))
-    a = x1.T @ x1 + alpha * np.diag(penalty)
-    w = np.linalg.solve(a, x1.T @ np.asarray(y, dtype=float))
-    return w[:-1], float(w[-1])
-
-
-def ridge_predict(x: np.ndarray, coef: np.ndarray, intercept: float) -> np.ndarray:
-    return np.asarray(x, dtype=float) @ coef + intercept
-
-
-def _loo_residuals(x1: np.ndarray, y: np.ndarray, alpha: float, penalty: np.ndarray) -> np.ndarray:
-    """Exact leave-one-out residuals of a fixed-alpha ridge fit.
-
-    Uses the linear-smoother identity e_i = (y_i - yhat_i) / (1 - h_ii);
-    rows with leverage 1 get infinite residuals, which disqualifies that
-    alpha during selection.
-    """
-    a = x1.T @ x1 + alpha * np.diag(penalty)
-    w = np.linalg.solve(a, x1.T)  # p x n
-    yhat = x1 @ (w @ y)
-    leverage = np.einsum("ij,ji->i", x1, w)
-    denom = 1.0 - leverage
-    out = np.full(len(y), np.inf)
-    ok = np.abs(denom) > 1e-12
-    out[ok] = (y[ok] - yhat[ok]) / denom[ok]
-    return out
-
-
 def ridge_loocv(
     design: DesignMatrix | np.ndarray,
     target: Sequence[float],
@@ -262,6 +211,22 @@ def ridge_loocv(
     is refit without the held-out row and used to predict it.  The report
     carries the outer RMSE and error_reduction = 1 - RMSE, the gain over a
     random baseline whose expected RMSE on a standardized target is 1.
+
+    The intercept is not penalized.  Its normal equation gives
+    intercept = mean(y) - mean(x) . coef for any coef, and substituting
+    that leaves plain ridge on the column-centered training rows, so
+    centering fits the intercept exactly.  One thin SVD of the centered
+    training design, Xc = U S V^T, then serves every alpha in the grid
+    (Hastie, Tibshirani & Friedman, The Elements of Statistical Learning,
+    section 3.4.1).  With m training rows and shrink factors
+    d = s^2 / (s^2 + alpha):
+
+    - fitted values: yhat = mean(y) + U (d * U^T yc)
+    - leverages: h = 1/m + (U * U) d
+    - inner LOO residuals: e = (y - yhat) / (1 - h); an alpha with
+      |1 - h| <= 1e-12 on any row scores infinity and is not chosen (if
+      no alpha scores finite, the last one is used)
+    - coefficients at the chosen alpha: coef = V (s / (s^2 + alpha) * U^T yc)
     """
     x = design.matrix if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -273,24 +238,33 @@ def ridge_loocv(
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
 
+    alphas = np.asarray(alpha_grid, dtype=float)[:, None]
     predictions = np.empty(n)
     chosen = np.empty(n)
     index = np.arange(n)
     for i in range(n):
         rest = index != i
-        x_tr, y_tr = x[rest], y[rest]
-        x1_tr, penalty = _augment(x_tr)
-        best_alpha, best_rmse = None, math.inf
-        for alpha in alpha_grid:
-            resid = _loo_residuals(x1_tr, y_tr, alpha, penalty)
-            rmse = float(np.sqrt(np.mean(resid**2))) if np.all(np.isfinite(resid)) else math.inf
-            if rmse < best_rmse:
-                best_alpha, best_rmse = alpha, rmse
-        if best_alpha is None:
-            best_alpha = alpha_grid[-1]
-        coef, intercept = ridge_fit(x_tr, y_tr, best_alpha)
+        x_mean, y_mean = x[rest].mean(axis=0), y[rest].mean()
+        u, s, vt = np.linalg.svd(x[rest] - x_mean, full_matrices=False)
+        # Directions with a zero singular value fit nothing at any alpha;
+        # dropping them keeps alpha = 0 from dividing zero by zero.
+        keep = s > s.max(initial=0.0) * max(x.shape) * np.finfo(float).eps
+        u, s, vt = u[:, keep], s[keep], vt[keep]
+        yc = y[rest] - y_mean
+        uty = u.T @ yc
+        shrink = s**2 / (s**2 + alphas)  # grid x rank
+        resid = yc - (shrink * uty) @ u.T  # grid x training rows
+        one_minus_h = 1.0 - 1.0 / (n - 1) - shrink @ (u**2).T
+        loo = np.divide(
+            resid, one_minus_h, out=np.full_like(resid, np.inf), where=np.abs(one_minus_h) > 1e-12
+        )
+        finite = np.isfinite(loo).all(axis=1)
+        scores = np.where(finite, np.sqrt(np.mean(loo**2, axis=1)), np.inf)
+        best = int(np.argmin(scores)) if finite.any() else len(alpha_grid) - 1
+        coef = vt.T @ (s / (s**2 + alphas[best]) * uty)
+        intercept = y_mean - x_mean @ coef
         predictions[i] = float(x[i] @ coef + intercept)
-        chosen[i] = best_alpha
+        chosen[i] = alpha_grid[best]
     rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
     return RidgeReport(
         rmse=rmse,

@@ -135,7 +135,7 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
 
 
 def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return parse_conllu(f.read(), id, language_code, lowercase=lowercase)
 
 
@@ -147,7 +147,7 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     """
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):

@@ -77,7 +77,7 @@ def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
     header: list[str] = []
     rows: list[list[str]] = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -86,10 +86,15 @@ def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
                 if sep:
                     meta[key.strip()] = value.strip()
                 continue
+            cells = line.split("\t")
             if not header:
-                header = line.split("\t")
+                header = cells
+            elif len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(header)} columns, got {len(cells)}"
+                )
             else:
-                rows.append(line.split("\t"))
+                rows.append(cells)
     return meta, header, rows
 
 

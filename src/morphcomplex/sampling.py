@@ -68,11 +68,6 @@ class MeasureStats:
         return self.n_available == self.n_repetitions and self.mean is not None
 
 
-def _id_hash(treebank_id: str) -> int:
-    digest = hashlib.sha256(treebank_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _name_hash(name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -80,19 +75,19 @@ def _name_hash(name: str) -> int:
 
 def sample_rng(seed: int, treebank_id: str, repetition: int) -> np.random.Generator:
     """Generator that drives sentence drawing for one repetition."""
-    return np.random.default_rng([seed, _id_hash(treebank_id), repetition, _STREAM_SAMPLE])
+    return np.random.default_rng([seed, _name_hash(treebank_id), repetition, _STREAM_SAMPLE])
 
 
 def measure_rng(seed: int, treebank_id: str, repetition: int, measure: str) -> np.random.Generator:
     """Generator owned by one measure within one repetition."""
     return np.random.default_rng(
-        [seed, _id_hash(treebank_id), repetition, _STREAM_MEASURE, _name_hash(measure)]
+        [seed, _name_hash(treebank_id), repetition, _STREAM_MEASURE, _name_hash(measure)]
     )
 
 
 def inflection_rng(seed: int, treebank_id: str) -> np.random.Generator:
     """Generator for the single inflection-learner sample and search."""
-    return np.random.default_rng([seed, _id_hash(treebank_id), _STREAM_INFLECTION])
+    return np.random.default_rng([seed, _name_hash(treebank_id), _STREAM_INFLECTION])
 
 
 def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Generator) -> Sample:

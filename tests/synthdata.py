@@ -95,3 +95,31 @@ def regular_toy_instances(n_lemmas: int, seed: int):
         instances.append(InflectionInstance(lemma, "Number=Plur", lemma + "s"))
         instances.append(InflectionInstance(lemma, "Tense=Past", lemma + "ed"))
     return instances
+
+
+def conllu_text(sentences: list[list[Token]]) -> str:
+    """CoNLL-U serialization, one ``# sent_id`` comment per sentence."""
+    lines: list[str] = []
+    for number, sentence in enumerate(sentences, start=1):
+        lines.append(f"# sent_id = {number}")
+        for idx, tok in enumerate(sentence, start=1):
+            feats = "|".join(f"{k}={v}" for k, v in tok.feats) or "_"
+            lines.append(f"{idx}\t{tok.form}\t{tok.lemma or '_'}\t{tok.upos}\t_\t{feats}\t0\tdep\t_\t_")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def suffixing_sentences(seed: int, n_lemmas: int, n_cells: int, n_keys: int, n_tokens: int,
+                        sentence_len: int = 8) -> list[list[Token]]:
+    """Nouns inflected by one suffix per cell; every cell carries the same
+    ``n_keys`` feature keys (at most 6) with cell-dependent values."""
+    keys = ("Case", "Number", "Definite", "Gender", "Person", "Degree")[:n_keys]
+    rng = np.random.default_rng(seed)
+    lemmas = distinct_words(rng, n_lemmas, 5)
+    suffixes = distinct_words(rng, n_cells, 2)
+    tokens = []
+    for lemma_idx, cell in zip(rng.integers(0, n_lemmas, n_tokens), rng.integers(0, n_cells, n_tokens)):
+        lemma = lemmas[int(lemma_idx)]
+        feats = {key: f"V{cell % (j + 2)}" for j, key in enumerate(keys)}
+        tokens.append(make_token(lemma + suffixes[int(cell)], lemma, "NOUN", feats))
+    return [tokens[i:i + sentence_len] for i in range(0, n_tokens, sentence_len)]

@@ -10,12 +10,9 @@ from morphcomplex.analysis import (
     correlation_matrix,
     pca,
     pearson,
-    ridge_fit,
     ridge_loocv,
     spearman,
     standardize,
-    _augment,
-    _loo_residuals,
 )
 
 
@@ -270,6 +267,77 @@ class TestPca:
             pca(np.ones((5, 3)))
 
 
+def _augment(x):
+    """Append an intercept column and the matching penalty mask."""
+    ones = np.ones((x.shape[0], 1))
+    x1 = np.hstack([x, ones])
+    penalty = np.ones(x1.shape[1])
+    penalty[-1] = 0.0  # intercept is never shrunk
+    return x1, penalty
+
+
+def ridge_fit(x, y, alpha):
+    """Closed-form ridge solution; the intercept is not penalized."""
+    x1, penalty = _augment(np.asarray(x, dtype=float))
+    a = x1.T @ x1 + alpha * np.diag(penalty)
+    w = np.linalg.solve(a, x1.T @ np.asarray(y, dtype=float))
+    return w[:-1], float(w[-1])
+
+
+def _loo_residuals(x1, y, alpha, penalty):
+    """Exact leave-one-out residuals of a fixed-alpha ridge fit.
+
+    Uses the linear-smoother identity e_i = (y_i - yhat_i) / (1 - h_ii);
+    rows with leverage 1 get infinite residuals, which disqualifies that
+    alpha during selection.
+    """
+    a = x1.T @ x1 + alpha * np.diag(penalty)
+    w = np.linalg.solve(a, x1.T)  # p x n
+    yhat = x1 @ (w @ y)
+    leverage = np.einsum("ij,ji->i", x1, w)
+    denom = 1.0 - leverage
+    out = np.full(len(y), np.inf)
+    ok = np.abs(denom) > 1e-12
+    out[ok] = (y[ok] - yhat[ok]) / denom[ok]
+    return out
+
+
+def nested_loo_reference(x, y, alpha_grid=DEFAULT_ALPHA_GRID, inner_residuals=None):
+    """Nested leave-one-out ridge with one linear solve per alpha per fold.
+
+    ``inner_residuals(x, y, alpha)`` gives the inner LOO residuals; by
+    default the leverage shortcut above.  Returns (chosen alphas,
+    predictions, rmse).
+    """
+    if inner_residuals is None:
+        def inner_residuals(x_tr, y_tr, alpha):
+            x1_tr, penalty = _augment(x_tr)
+            return _loo_residuals(x1_tr, y_tr, alpha, penalty)
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    predictions = np.empty(n)
+    chosen = np.empty(n)
+    index = np.arange(n)
+    for i in range(n):
+        rest = index != i
+        x_tr, y_tr = x[rest], y[rest]
+        best_alpha, best_rmse = None, math.inf
+        for alpha in alpha_grid:
+            resid = inner_residuals(x_tr, y_tr, alpha)
+            rmse = float(np.sqrt(np.mean(resid**2))) if np.all(np.isfinite(resid)) else math.inf
+            if rmse < best_rmse:
+                best_alpha, best_rmse = alpha, rmse
+        if best_alpha is None:
+            best_alpha = alpha_grid[-1]
+        coef, intercept = ridge_fit(x_tr, y_tr, best_alpha)
+        predictions[i] = float(x[i] @ coef + intercept)
+        chosen[i] = best_alpha
+    rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
+    return tuple(float(a) for a in chosen), predictions, rmse
+
+
 def loo_refit_oracle(x, y, alpha):
     """Leave-one-out residuals by explicit refitting."""
     out = []
@@ -291,8 +359,27 @@ def one_hot_design(rng, n, blocks=(3, 2, 4)):
     return np.hstack(cols)
 
 
+def assert_matches_reference(x, y, alpha_grid=DEFAULT_ALPHA_GRID, **reference_kwargs):
+    chosen, predictions, rmse = nested_loo_reference(x, y, alpha_grid, **reference_kwargs)
+    report = ridge_loocv(x, y, alpha_grid=alpha_grid)
+    assert report.chosen_alphas == chosen
+    np.testing.assert_allclose(report.predictions, predictions, rtol=0, atol=1e-9)
+    assert report.rmse == pytest.approx(rmse, rel=0, abs=1e-9)
+
+
 class TestRidge:
     def test_loo_shortcut_matches_refit_oracle(self):
+        # The inner leave-one-out scores come from the leverage shortcut; an
+        # inner loop that refits without each row must choose the same
+        # alphas and give the same predictions.
+        rng = np.random.default_rng(15)
+        grid = (0.001, 1.0, 100.0)
+        for _ in range(3):
+            x = rng.normal(size=(12, 4))
+            y = rng.normal(size=12)
+            assert_matches_reference(x, y, grid, inner_residuals=loo_refit_oracle)
+
+    def test_reference_shortcut_matches_refit_oracle(self):
         rng = np.random.default_rng(15)
         for alpha in (0.001, 1.0, 100.0):
             x = rng.normal(size=(12, 4))
@@ -301,6 +388,41 @@ class TestRidge:
             fast = _loo_residuals(x1, y, alpha, penalty)
             slow = loo_refit_oracle(x, y, alpha)
             np.testing.assert_allclose(fast, slow, atol=1e-8)
+
+    def test_matches_solve_reference_random_design(self):
+        rng = np.random.default_rng(20)
+        assert_matches_reference(rng.normal(size=(15, 4)), rng.normal(size=15))
+
+    def test_matches_solve_reference_one_hot_wider_than_tall(self):
+        # Shaped like WALS one-hot designs: 30 treebanks of 24 languages, so
+        # six rows repeat, and ~150 columns.
+        rng = np.random.default_rng(21)
+        languages = one_hot_design(rng, 24, blocks=(3, 4, 5, 6, 7, 3, 5, 4, 6, 5) * 3)
+        x = languages[np.r_[0:24, 0:6]]
+        assert x.shape[1] > x.shape[0]
+        assert np.linalg.matrix_rank(x - x.mean(axis=0)) < x.shape[0] - 1
+        y = rng.normal(size=30)
+        assert_matches_reference(x, y)
+
+    def test_matches_solve_reference_all_zero_design(self):
+        rng = np.random.default_rng(22)
+        assert_matches_reference(np.zeros((8, 3)), rng.normal(size=8))
+
+    def test_matches_solve_reference_constant_column(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(10, 3))
+        x[:, 1] = 2.5
+        assert_matches_reference(x, rng.normal(size=10))
+
+    def test_leverage_one_disqualifies_alpha_and_falls_back_to_last(self):
+        # Four columns and five training rows: with (almost) no penalty the
+        # fit interpolates, every leverage is 1 and no alpha scores finite.
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(6, 4))
+        y = rng.normal(size=6)
+        grid = (0.0, 1e-300)
+        assert_matches_reference(x, y, grid)
+        assert ridge_loocv(x, y, alpha_grid=grid).chosen_alphas == (1e-300,) * 6
 
     def test_huge_alpha_predicts_training_mean(self):
         rng = np.random.default_rng(16)
@@ -312,11 +434,12 @@ class TestRidge:
             assert prediction == pytest.approx(fold_mean, abs=1e-6)
 
     def test_intercept_not_penalized(self):
+        # A penalized intercept would shrink these predictions toward 0.
         y = np.array([10.0, 10.0, 10.0, 10.0])
         x = np.zeros((4, 2))
-        coef, intercept = ridge_fit(x, y, alpha=1e6)
-        assert intercept == pytest.approx(10.0)
-        np.testing.assert_allclose(coef, 0.0, atol=1e-9)
+        report = ridge_loocv(x, y, alpha_grid=[1e6])
+        np.testing.assert_allclose(report.predictions, 10.0)
+        assert report.rmse == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_target_gives_high_error_reduction(self):
         rng = np.random.default_rng(17)

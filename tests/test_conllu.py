@@ -8,6 +8,7 @@ from morphcomplex.conllu import (
     Treebank,
     apply_exclusions,
     parse_conllu,
+    parse_conllu_file,
     read_manifest,
     unavailable_measures,
 )
@@ -116,6 +117,13 @@ class TestParse:
         with pytest.raises(ConlluParseError):
             parse_conllu("x\ta\ta\tX\t_\t_\t_\t_\t_\t_\n", "x", "xx")
 
+    def test_utf8_bom_file_accepted(self, tmp_path):
+        path = tmp_path / "bom.conllu"
+        path.write_bytes(b"\xef\xbb\xbf" + SIMPLE.encode("utf-8"))
+        tb = parse_conllu_file(str(path), "x", "xx")
+        assert tb.n_tokens == 3
+        assert tb.sentences[0].tokens[0].form == "koirat"
+
 
 @st.composite
 def sentence_shapes(draw):
@@ -199,6 +207,12 @@ class TestManifest:
         [(tb_id, lang, path)] = read_manifest(str(manifest))
         assert (tb_id, lang) == ("a_x", "aa")
         assert path == str(tmp_path / "data" / "a.conllu")
+
+    def test_utf8_bom_manifest_accepted(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"\xef\xbb\xbf# comment line\na_x\taa\ta.conllu\n")
+        [(tb_id, lang, _)] = read_manifest(str(manifest))
+        assert (tb_id, lang) == ("a_x", "aa")
 
     def test_bad_column_count(self, tmp_path):
         manifest = tmp_path / "m.tsv"
