@@ -173,6 +173,7 @@ def standardize(
 def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
     """Principal components of the centered matrix via SVD.
 
+    Components with singular values at rounding level are dropped.
     Explained ratios are singular values squared over their sum.  Each
     component is oriented so its loading on ``orient_column`` is
     nonnegative (falling back to the first nonzero loading), making signs
@@ -185,6 +186,10 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
     if not np.any(np.abs(centered) > 1e-12):
         raise ValueError("degenerate input: all rows are equal")
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    # Components at rounding level carry no variance (centering removes one
+    # dimension); the cut is the one ridge_loocv uses.
+    keep = s > s.max() * max(centered.shape) * np.finfo(float).eps
+    u, s, vt = u[:, keep], s[keep], vt[keep]
     total = float(np.sum(s**2))
     ratios = s**2 / total
     scores = u * s

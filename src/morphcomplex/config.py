@@ -144,24 +144,12 @@ def apply_overrides(
     target_tokens: int | None = None,
     repetitions: int | None = None,
 ) -> RunConfig:
-    sample = config.sample
-    if seed is not None:
-        sample = replace(sample, seed=seed)
-    if target_tokens is not None:
-        sample = replace(sample, target_tokens=target_tokens)
-    if repetitions is not None:
-        sample = replace(sample, repetitions=repetitions)
-    out = RunConfig(
-        manifest=config.manifest,
-        out_dir=out_dir if out_dir is not None else config.out_dir,
-        wals_csv=config.wals_csv,
-        sample=sample,
-        exclusions=config.exclusions,
-        ia_search=config.ia_search,
-        measures=config.measures,
-        lowercase=config.lowercase,
-        is_count_values=config.is_count_values,
-        wals_rows=config.wals_rows,
-        jobs=jobs if jobs is not None else config.jobs,
+    """``config`` with every override that is not None applied."""
+
+    def given(**values):
+        return {k: v for k, v in values.items() if v is not None}
+
+    sample = replace(
+        config.sample, **given(seed=seed, target_tokens=target_tokens, repetitions=repetitions)
     )
-    return out
+    return replace(config, sample=sample, **given(out_dir=out_dir, jobs=jobs))

@@ -183,15 +183,13 @@ class Exclusion:
 
 def apply_exclusions(
     treebanks: list[Treebank], rules: ExclusionConfig
-) -> tuple[list[Treebank], list[tuple[Treebank, tuple[Exclusion, ...]]]]:
-    """Partition treebanks into fully-eligible and partially-excluded.
+) -> dict[str, tuple[Exclusion, ...]]:
+    """Exclusion records by treebank id, for the treebanks that have any.
 
-    Excluded treebanks keep their Exclusion records (machine-readable
-    reason plus the affected measure names); they remain eligible for all
-    other measures.
+    Each record names a machine-readable reason and the affected measures;
+    an excluded treebank remains eligible for all other measures.
     """
-    kept: list[Treebank] = []
-    excluded: list[tuple[Treebank, tuple[Exclusion, ...]]] = []
+    excluded: dict[str, tuple[Exclusion, ...]] = {}
     for tb in treebanks:
         reasons: list[Exclusion] = []
         if tb.n_feature_keys < rules.min_feature_keys:
@@ -199,10 +197,8 @@ def apply_exclusions(
         if tb.id in rules.script_excluded_ids:
             reasons.append(Exclusion(tb.id, REASON_NON_ALPHABETIC, rules.script_measures))
         if reasons:
-            excluded.append((tb, tuple(reasons)))
-        else:
-            kept.append(tb)
-    return kept, excluded
+            excluded[tb.id] = tuple(reasons)
+    return excluded
 
 
 def unavailable_measures(exclusions: tuple[Exclusion, ...]) -> frozenset[str]:

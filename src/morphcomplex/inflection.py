@@ -10,7 +10,6 @@ searched over random hyperparameter draws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -124,82 +123,30 @@ def featurize(lemma: str, feature_bundle: str, ngram_order: int) -> list[str]:
     return feats
 
 
-class _AveragedWeights:
-    """Sparse multiclass weights with lazily-averaged accumulators."""
-
-    __slots__ = ("n_classes", "_w", "_acc", "_stamp", "_t")
-
-    def __init__(self, n_classes: int):
-        self.n_classes = n_classes
-        self._w: dict[str, dict[int, float]] = {}
-        self._acc: dict[str, dict[int, float]] = {}
-        self._stamp: dict[str, dict[int, int]] = {}
-        self._t = 0
-
-    def tick(self):
-        self._t += 1
-
-    def scores(self, features: Sequence[str]) -> np.ndarray:
-        s = np.zeros(self.n_classes)
-        for f in features:
-            row = self._w.get(f)
-            if row:
-                for c, w in row.items():
-                    s[c] += w
-        return s
-
-    def _bump(self, feature: str, cls: int, amount: float):
-        w = self._w.setdefault(feature, {})
-        acc = self._acc.setdefault(feature, {})
-        stamp = self._stamp.setdefault(feature, {})
-        acc[cls] = acc.get(cls, 0.0) + (self._t - stamp.get(cls, 0)) * w.get(cls, 0.0)
-        stamp[cls] = self._t
-        w[cls] = w.get(cls, 0.0) + amount
-
-    def update(self, features: Sequence[str], gold: int, predicted: int, step: float):
-        for f in features:
-            self._bump(f, gold, step)
-            self._bump(f, predicted, -step)
-
-    def averaged(self) -> dict[str, dict[int, float]]:
-        if self._t == 0:
-            return {}
-        out: dict[str, dict[int, float]] = {}
-        for f, row in self._w.items():
-            acc = self._acc[f]
-            stamp = self._stamp[f]
-            avg = {}
-            for c, w in row.items():
-                total = acc.get(c, 0.0) + (self._t - stamp.get(c, 0)) * w
-                value = total / self._t
-                if value != 0.0:
-                    avg[c] = value
-            if avg:
-                out[f] = avg
-        return out
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     ngram_order: int
     epochs: int
-    step: float
 
 
 @dataclass
 class InflectionModel:
+    """Edit-script classes and their summed perceptron weights.
+
+    ``weights[feature_ids[f], c]`` is the weight of feature ``f`` for class
+    ``c`` summed over every training step, which is the averaged weight
+    times the step count and so ranks the classes as the average does.
+    """
+
     scripts: tuple[EditScript, ...]
-    weights: dict[str, dict[int, float]]
+    feature_ids: dict[str, int]
+    weights: np.ndarray  # int64, features x classes
     params: Hyperparams
 
-    def score_classes(self, features: Sequence[str]) -> np.ndarray:
-        s = np.zeros(len(self.scripts))
-        for f in features:
-            row = self.weights.get(f)
-            if row:
-                for c, w in row.items():
-                    s[c] += w
-        return s
+    def scores(self, features: Sequence[str]) -> np.ndarray:
+        """Per-class score; features unseen in training count zero."""
+        ids = self.feature_ids
+        return self.weights[[ids[f] for f in features if f in ids]].sum(axis=0)
 
 
 def train(
@@ -210,6 +157,12 @@ def train(
     script_cache: Sequence[EditScript] | None = None,
 ) -> InflectionModel:
     """Averaged-perceptron training over edit-script classes.
+
+    A mistake at step t adds +-1 to the current weights ``w`` and +-t to
+    ``u`` on the instance's feature rows; after T steps the summed weights
+    are ``T*w - u``, T times the averaged weights (Collins 2002; Daume III,
+    A Course in Machine Learning, 4.6).  Integer weights make ties exact:
+    the lowest class index wins.
 
     The rng only shuffles instance order, so identical (instances, params,
     seed) give identical weights.  A single-class training set yields a
@@ -224,17 +177,23 @@ def train(
     feats = feature_cache or [
         featurize(i.lemma, i.feature_bundle, params.ngram_order) for i in instances
     ]
-    weights = _AveragedWeights(len(classes))
+    feature_ids: dict[str, int] = {}
+    rows = [np.array([feature_ids.setdefault(f, len(feature_ids)) for f in x]) for x in feats]
+    w = np.zeros((len(feature_ids), len(classes)), dtype=np.int64)
+    u = np.zeros_like(w)
+    t = 0
     if len(classes) > 1:
-        n = len(instances)
         for _ in range(params.epochs):
-            for idx in rng.permutation(n):
-                weights.tick()
-                x = feats[idx]
-                predicted = int(np.argmax(weights.scores(x)))
-                if predicted != labels[idx]:
-                    weights.update(x, labels[idx], predicted, params.step)
-    return InflectionModel(classes, weights.averaged(), params)
+            for idx in rng.permutation(len(instances)):
+                t += 1
+                x, gold = rows[idx], labels[idx]
+                predicted = int(np.argmax(w[x].sum(axis=0)))
+                if predicted != gold:
+                    np.add.at(w, (x, gold), 1)
+                    np.add.at(w, (x, predicted), -1)
+                    np.add.at(u, (x, gold), t)
+                    np.add.at(u, (x, predicted), -t)
+    return InflectionModel(classes, feature_ids, t * w - u, params)
 
 
 def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
@@ -245,7 +204,7 @@ def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
     so prediction is total.
     """
     features = featurize(lemma, feature_bundle, model.params.ngram_order)
-    scores = model.score_classes(features)
+    scores = model.scores(features)
     order = np.argsort(-scores, kind="stable")
     for c in order:
         script = model.scripts[int(c)]
@@ -260,7 +219,6 @@ class IASearchConfig:
     n_draws: int = 20
     ngram_range: tuple[int, int] = (1, 4)
     epoch_range: tuple[int, int] = (5, 30)
-    step_range: tuple[float, float] = (0.01, 1.0)
 
 
 @dataclass(frozen=True)
@@ -276,11 +234,9 @@ class IAResult:
 
 
 def _draw_params(prng: np.random.Generator, config: IASearchConfig) -> Hyperparams:
-    lo, hi = config.step_range
     return Hyperparams(
         ngram_order=int(prng.integers(config.ngram_range[0], config.ngram_range[1] + 1)),
         epochs=int(prng.integers(config.epoch_range[0], config.epoch_range[1] + 1)),
-        step=float(10 ** prng.uniform(math.log10(lo), math.log10(hi))),
     )
 
 

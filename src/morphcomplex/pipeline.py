@@ -64,12 +64,28 @@ def _fmt(value: float | None) -> str:
     return f"{value:.12g}"
 
 
+def _write_atomic(path: str, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``, so a killed run leaves the old file or none, never a cut one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _write_json(path: str, obj: object):
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_tsv(path: str, meta: dict[str, object], header: list[str], rows: list[list[str]]):
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append("\t".join(header))
     lines.extend("\t".join(row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -188,8 +204,7 @@ def run_measure(config: RunConfig) -> MeasureRunResult:
                 TreebankOutcome(treebank_id=tb_id, language_code=lang, status="failed", error=str(exc))
             )
 
-    kept, excluded_list = apply_exclusions(treebanks, config.exclusions)
-    excl_by_id: dict[str, tuple[Exclusion, ...]] = {tb.id: exc for tb, exc in excluded_list}
+    excl_by_id = apply_exclusions(treebanks, config.exclusions)
 
     payloads = [
         (tb, unavailable_measures(excl_by_id.get(tb.id, ())), config) for tb in treebanks
@@ -278,7 +293,6 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
         o.treebank_id: {
             "ngram_order": o.ia.params.ngram_order,
             "epochs": o.ia.params.epochs,
-            "step": o.ia.params.step,
             "mean_accuracy": o.ia.mean_accuracy,
             "fold_accuracies": list(o.ia.fold_accuracies),
             "n_draws": o.ia.n_draws,
@@ -286,9 +300,10 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
         for o in result.outcomes
         if o.ia is not None
     }
-    with open(os.path.join(result.out_dir, IA_PARAMS_JSON), "w", encoding="utf-8") as f:
-        json.dump({"seed": config.sample.seed, "treebanks": ia_params}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(
+        os.path.join(result.out_dir, IA_PARAMS_JSON),
+        {"seed": config.sample.seed, "treebanks": ia_params},
+    )
 
     run_meta = {
         "seed": config.sample.seed,
@@ -306,13 +321,10 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
             "n_draws": config.ia_search.n_draws,
             "ngram_range": list(config.ia_search.ngram_range),
             "epoch_range": list(config.ia_search.epoch_range),
-            "step_range": list(config.ia_search.step_range),
         },
         "wals_rows": config.wals_rows,
     }
-    with open(os.path.join(result.out_dir, RUN_META_JSON), "w", encoding="utf-8") as f:
-        json.dump(run_meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(result.out_dir, RUN_META_JSON), run_meta)
 
 
 def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], int]:
@@ -320,13 +332,18 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
 
     Returns the matrix, a treebank-to-language map, and the run seed.
     """
-    meta, _, rows = _read_tsv(os.path.join(out_dir, MEASURES_TSV))
+    path = os.path.join(out_dir, MEASURES_TSV)
+    meta, _, rows = _read_tsv(path)
     seed = int(meta.get("seed", "0"))
     cells: dict[tuple[str, str], float] = {}
     tb_order: list[str] = []
     present: set[str] = set()
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]
+        if row[5] not in ("true", "false"):
+            raise ValueError(
+                f"{path}: row {tb_id}/{measure}: available is {row[5]!r}, not true or false"
+            )
         available = row[5] == "true"
         if tb_id not in present:
             present.add(tb_id)
@@ -500,19 +517,15 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
             ],
         )
 
-    with open(os.path.join(out_dir, ANALYZE_META_JSON), "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "seed": seed,
-                "errors": errors,
-                "n_pca_rows": len(pca_rows),
-                "wals_rows": config.wals_rows,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    _write_json(
+        os.path.join(out_dir, ANALYZE_META_JSON),
+        {
+            "seed": seed,
+            "errors": errors,
+            "n_pca_rows": len(pca_rows),
+            "wals_rows": config.wals_rows,
+        },
+    )
     for name, message in errors.items():
         log.warning("analysis %s skipped: %s", name, message)
     return AnalyzeResult(correlations, pca_result, pca_rows, ridge_rows, errors, out_dir)
@@ -524,8 +537,7 @@ def run_plot(out_dir: str) -> list[str]:
     matrix, _, seed = read_measure_matrix(out_dir)
     svg = svgplot.measure_panels(matrix, seed=seed)
     path = os.path.join(out_dir, MEASURES_SVG)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(svg)
+    _write_atomic(path, svg)
     written.append(path)
 
     scores_path = os.path.join(out_dir, PCA_SCORES_TSV)
@@ -540,8 +552,7 @@ def run_plot(out_dir: str) -> list[str]:
             ratios = [float(r[1]) for r in pca_rows_]
             svg = svgplot.pca_scatter(x, y, ids, ratios[0], ratios[1], seed=seed)
             path = os.path.join(out_dir, PCA_SVG)
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(svg)
+            _write_atomic(path, svg)
             written.append(path)
 
     ridge_path = os.path.join(out_dir, RIDGE_TSV)
@@ -552,7 +563,6 @@ def run_plot(out_dir: str) -> list[str]:
             values = [float(r[3]) for r in rows]
             svg = svgplot.error_reduction_bars(names, values, seed=seed)
             path = os.path.join(out_dir, WALS_ERROR_SVG)
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(svg)
+            _write_atomic(path, svg)
             written.append(path)
     return written

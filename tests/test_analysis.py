@@ -262,6 +262,18 @@ class TestPca:
         r2 = pca(standardize(scaled)[0]).scores[:, 0]
         assert list(np.argsort(r1)) == list(np.argsort(r2))
 
+    def test_rounding_level_component_dropped(self):
+        # Six centered rows span five dimensions; the sixth singular value
+        # is rounding noise.
+        x = np.random.default_rng(15).normal(size=(6, 8))
+        result = pca(x)
+        assert result.loadings.shape == (5, 8)
+        assert result.scores.shape == (6, 5)
+        assert float(result.explained_ratios.sum()) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(
+            result.scores @ result.loadings, x - x.mean(axis=0), atol=1e-12
+        )
+
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(ValueError):
             pca(np.ones((5, 3)))

@@ -159,25 +159,22 @@ def featureless_treebank(tb_id, n_keys):
 class TestExclusions:
     def test_threshold_rule(self):
         tb = featureless_treebank("ja_x", 2)
-        kept, excluded = apply_exclusions([tb], ExclusionConfig(min_feature_keys=3))
-        assert kept == []
-        [(excl_tb, reasons)] = excluded
-        assert excl_tb.id == "ja_x"
+        excluded = apply_exclusions([tb], ExclusionConfig(min_feature_keys=3))
+        [(excl_id, reasons)] = excluded.items()
+        assert excl_id == "ja_x"
         assert reasons[0].reason == "no-morph-features"
         assert set(reasons[0].measures) == {"is", "mfh", "neg_ia"}
 
     def test_rich_treebank_kept(self):
         tb = featureless_treebank("fi_x", 29)
-        kept, excluded = apply_exclusions([tb], ExclusionConfig())
-        assert [t.id for t in kept] == ["fi_x"]
-        assert excluded == []
+        assert apply_exclusions([tb], ExclusionConfig()) == {}
 
     def test_deny_list_hits_ws_only(self):
         tb = featureless_treebank("zh_gsd", 10)
-        _, excluded = apply_exclusions(
+        excluded = apply_exclusions(
             [tb], ExclusionConfig(script_excluded_ids=frozenset({"zh_gsd"}))
         )
-        [(_, reasons)] = excluded
+        [reasons] = excluded.values()
         assert len(reasons) == 1
         assert reasons[0].reason == "non-alphabetic-script"
         assert reasons[0].measures == ("ws",)
@@ -185,17 +182,14 @@ class TestExclusions:
 
     def test_partition(self):
         tbs = [featureless_treebank(f"t{i}", i) for i in range(6)]
-        kept, excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
-        kept_ids = {t.id for t in kept}
-        excl_ids = {t.id for t, _ in excluded}
-        assert kept_ids | excl_ids == {t.id for t in tbs}
-        assert kept_ids & excl_ids == set()
+        excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
+        assert list(excluded) == ["t0", "t1", "t2"]
+        assert all(reasons for reasons in excluded.values())
 
     def test_empty_kept_is_allowed(self):
         tbs = [featureless_treebank("a_x", 0), featureless_treebank("b_x", 1)]
-        kept, excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
-        assert kept == []
-        assert len(excluded) == 2
+        excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
+        assert list(excluded) == ["a_x", "b_x"]
 
 
 class TestManifest:

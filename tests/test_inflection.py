@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from morphcomplex.inflection import (
     train,
 )
 
-from synthdata import make_sample, make_token, regular_toy_instances
+from synthdata import distinct_words, make_sample, make_token, regular_toy_instances
 
 WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=12)
 
@@ -136,8 +138,7 @@ class TestFeaturize:
 def toy_model(n_lemmas=30, seed=0, **params):
     instances = regular_toy_instances(n_lemmas, seed=seed)
     hp = Hyperparams(ngram_order=params.get("ngram_order", 3),
-                     epochs=params.get("epochs", 10),
-                     step=params.get("step", 1.0))
+                     epochs=params.get("epochs", 10))
     model = train(instances, hp, np.random.default_rng(seed))
     return instances, model
 
@@ -161,14 +162,15 @@ class TestTrainPredict:
             InflectionInstance("aa", "X=1", "aa"),
             InflectionInstance("bb", "X=2", "bb"),
         ]
-        model = train(instances, Hyperparams(2, 3, 1.0), np.random.default_rng(0))
+        model = train(instances, Hyperparams(2, 3), np.random.default_rng(0))
         assert len(model.scripts) == 1
         assert predict(model, "zz", "X=1") == "zz"
 
     def test_identical_inputs_identical_weights(self):
         _, m1 = toy_model(seed=4)
         _, m2 = toy_model(seed=4)
-        assert m1.weights == m2.weights
+        assert m1.feature_ids == m2.feature_ids
+        assert np.array_equal(m1.weights, m2.weights)
 
     def test_unfitting_scripts_skipped_in_ranking(self):
         # both classes present; the long-drop script cannot apply to a short lemma
@@ -176,7 +178,7 @@ class TestTrainPredict:
             InflectionInstance("abcdef", "X=1", "zzzzzz"),
             InflectionInstance("ab", "X=2", "abs"),
         ]
-        model = train(instances, Hyperparams(2, 5, 1.0), np.random.default_rng(0))
+        model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
         out = predict(model, "xy", "X=1")
         # EditScript(6, "zzzzzz", 0, "") does not fit a 2-char lemma
         assert out in ("xys", "zzzzzz")
@@ -184,7 +186,150 @@ class TestTrainPredict:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            train([], Hyperparams(1, 1, 1.0), np.random.default_rng(0))
+            train([], Hyperparams(1, 1), np.random.default_rng(0))
+
+
+# Reference: the dict-of-dicts averaged perceptron with per-cell time stamps
+# and a float step, as the learner was before it moved to integer arrays.
+class _AveragedWeights:
+    """Sparse multiclass weights with lazily-averaged accumulators."""
+
+    __slots__ = ("n_classes", "_w", "_acc", "_stamp", "_t")
+
+    def __init__(self, n_classes: int):
+        self.n_classes = n_classes
+        self._w: dict[str, dict[int, float]] = {}
+        self._acc: dict[str, dict[int, float]] = {}
+        self._stamp: dict[str, dict[int, int]] = {}
+        self._t = 0
+
+    def tick(self):
+        self._t += 1
+
+    def scores(self, features: Sequence[str]) -> np.ndarray:
+        s = np.zeros(self.n_classes)
+        for f in features:
+            row = self._w.get(f)
+            if row:
+                for c, w in row.items():
+                    s[c] += w
+        return s
+
+    def _bump(self, feature: str, cls: int, amount: float):
+        w = self._w.setdefault(feature, {})
+        acc = self._acc.setdefault(feature, {})
+        stamp = self._stamp.setdefault(feature, {})
+        acc[cls] = acc.get(cls, 0.0) + (self._t - stamp.get(cls, 0)) * w.get(cls, 0.0)
+        stamp[cls] = self._t
+        w[cls] = w.get(cls, 0.0) + amount
+
+    def update(self, features: Sequence[str], gold: int, predicted: int, step: float):
+        for f in features:
+            self._bump(f, gold, step)
+            self._bump(f, predicted, -step)
+
+    def averaged(self) -> dict[str, dict[int, float]]:
+        if self._t == 0:
+            return {}
+        out: dict[str, dict[int, float]] = {}
+        for f, row in self._w.items():
+            acc = self._acc[f]
+            stamp = self._stamp[f]
+            avg = {}
+            for c, w in row.items():
+                total = acc.get(c, 0.0) + (self._t - stamp.get(c, 0)) * w
+                value = total / self._t
+                if value != 0.0:
+                    avg[c] = value
+            if avg:
+                out[f] = avg
+        return out
+
+
+def reference_train(instances, ngram_order, epochs, step, rng):
+    """The reference training loop; returns (classes, averaged weights, steps)."""
+    scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
+    classes = tuple(sorted(set(scripts)))
+    class_index = {s: i for i, s in enumerate(classes)}
+    labels = [class_index[s] for s in scripts]
+    feats = [featurize(i.lemma, i.feature_bundle, ngram_order) for i in instances]
+    weights = _AveragedWeights(len(classes))
+    if len(classes) > 1:
+        n = len(instances)
+        for _ in range(epochs):
+            for idx in rng.permutation(n):
+                weights.tick()
+                x = feats[idx]
+                predicted = int(np.argmax(weights.scores(x)))
+                if predicted != labels[idx]:
+                    weights.update(x, labels[idx], predicted, step)
+    return classes, weights.averaged(), weights._t
+
+
+def reference_predict(classes, averaged, ngram_order, lemma, feature_bundle):
+    s = np.zeros(len(classes))
+    for f in featurize(lemma, feature_bundle, ngram_order):
+        for c, w in averaged.get(f, {}).items():
+            s[c] += w
+    order = np.argsort(-s, kind="stable")
+    for c in order:
+        if classes[int(c)].fits(lemma):
+            return classes[int(c)].apply(lemma)
+    return classes[int(order[0])].apply_clamped(lemma)
+
+
+def irregular_toy_instances(n_lemmas: int, seed: int):
+    """Regular toy data in which every third lemma has a suppletive past."""
+    instances = regular_toy_instances(n_lemmas, seed)
+    forms = distinct_words(np.random.default_rng(seed + 100), n_lemmas, 6)
+    return [
+        InflectionInstance(i.lemma, i.feature_bundle, forms[k // 3])
+        if i.feature_bundle == "Tense=Past" and k // 3 % 3 == 0 else i
+        for k, i in enumerate(instances)
+    ]
+
+
+class TestMatchesReferenceLearner:
+    """At step 1 the integer learner's weights are the reference's averaged
+    weights times the step count T, exactly.  Both sides are integers below
+    2**53 divided by T, so the comparison ``weights / T == averaged`` is
+    exact in floats."""
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            regular_toy_instances(30, seed=0),
+            irregular_toy_instances(30, seed=1),
+            [InflectionInstance(w, "X=1", w + "s") for w in ("dog", "cat", "ox")],
+            [
+                InflectionInstance(i.lemma, f"{i.feature_bundle}|{i.feature_bundle}", i.form)
+                for i in regular_toy_instances(10, seed=2)
+            ],
+        ],
+        ids=["regular", "irregular", "single-class", "repeated-feature"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_weights_and_predictions(self, instances, seed):
+        params = Hyperparams(ngram_order=3, epochs=7)
+        model = train(instances, params, np.random.default_rng(seed))
+        classes, averaged, steps = reference_train(
+            instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
+        )
+        assert model.scripts == classes
+        expected = np.zeros(model.weights.shape)
+        for f, row in averaged.items():
+            for c, value in row.items():
+                expected[model.feature_ids[f], c] = value
+        if steps:
+            assert np.array_equal(model.weights / steps, expected)
+        else:
+            assert len(classes) == 1 and not model.weights.any()
+        queries = [(i.lemma, i.feature_bundle) for i in instances]
+        queries += [("zebra", b) for b in ("Number=Plur", "Tense=Past", "X=1", "Y=2")]
+        for lemma, bundle in queries:
+            assert predict(model, lemma, bundle) == reference_predict(
+                classes, averaged, params.ngram_order, lemma, bundle
+            )
 
 
 class TestCrossValidate:
@@ -244,7 +389,7 @@ class TestCrossValidate:
             lemma = f"lem{i:02d}"
             train_set.append(InflectionInstance(lemma, "X=1", lemma + "s"))
             test_set.append(InflectionInstance(lemma, "X=1", lemma + "qq"))
-        model = train(train_set, Hyperparams(3, 8, 1.0), rng)
+        model = train(train_set, Hyperparams(3, 8), rng)
         replay_hits = 0
         for inst in test_set:
             predicted = predict(model, inst.lemma, inst.feature_bundle)

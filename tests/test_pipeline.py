@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from morphcomplex import cli, pipeline
+from morphcomplex.config import RunConfig
 from morphcomplex.measures import ALL_MEASURES
 from morphcomplex.wals import MORPHOLOGY_FEATURES
 
@@ -14,6 +15,30 @@ from synthdata import conllu_text, suffixing_sentences
 from test_analysis import nested_loo_reference
 
 N_TREEBANKS = 10  # more rows than measures, so no principal component is degenerate
+
+# Mean -IA accuracy per treebank for the release below.  The learner's
+# weights are integers, so these do not depend on the platform's rounding.
+PINNED_IA_ACCURACY = {
+    "tb0": 0.9743589743589745,
+    "tb1": 0.9841269841269842,
+    "tb2": 0.98989898989899,
+    "tb3": 0.9670731707317074,
+    "tb4": 0.944944944944945,
+    "tb5": 0.926892109500805,
+    "tb6": 0.9761904761904763,
+    "tb7": 1.0,
+    "tb8": 0.9916666666666667,
+    "tb9": 0.9841269841269842,
+}
+
+
+def write_wals(path, languages):
+    rng = np.random.default_rng(0)
+    wals = ["iso_code," + ",".join(MORPHOLOGY_FEATURES)]
+    for lang in sorted(set(languages)):
+        values = rng.integers(0, 4, size=len(MORPHOLOGY_FEATURES))  # 0: missing
+        wals.append(",".join([lang] + [str(v) if v else "" for v in values]))
+    path.write_text("\n".join(wals) + "\n", encoding="utf-8")
 
 
 def write_release(root):
@@ -30,12 +55,7 @@ def write_release(root):
         manifest.append(f"tb{i}\t{lang}\t{path.name}")
         languages.append(lang)
     (root / "manifest.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    rng = np.random.default_rng(0)
-    wals = ["iso_code," + ",".join(MORPHOLOGY_FEATURES)]
-    for lang in sorted(set(languages)):
-        values = rng.integers(0, 4, size=len(MORPHOLOGY_FEATURES))  # 0: missing
-        wals.append(",".join([lang] + [str(v) if v else "" for v in values]))
-    (root / "wals.csv").write_text("\n".join(wals) + "\n", encoding="utf-8")
+    write_wals(root / "wals.csv", languages)
     config = root / "run.cfg"
     config.write_text(
         "manifest = manifest.tsv\nout = out\nwals = wals.csv\n"
@@ -93,16 +113,83 @@ def test_ridge_rows_match_solve_reference(release):
         assert record["rmse"] == f"{rmse:.12g}"
 
 
-def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
+def analyze_cut_measures(release, tmp_path, cut):
+    """Run ``analyze`` on the release's measures.tsv cut to ``cut(text)``;
+    returns the exit code and the output directory."""
     root, _, _, _ = release
     out = tmp_path / "out"
     out.mkdir()
     for name in ("measures.tsv", "treebanks.tsv"):
         (out / name).write_bytes((root / "out" / name).read_bytes())
     measures = (out / "measures.tsv").read_text(encoding="utf-8")
-    (out / "measures.tsv").write_text(measures[: len(measures) // 2], encoding="utf-8")
+    (out / "measures.tsv").write_text(cut(measures), encoding="utf-8")
     config = tmp_path / "run.cfg"
     config.write_text(f"manifest = {root / 'manifest.tsv'}\nout = {out}\n", encoding="utf-8")
-    assert cli.main(["analyze", "--config", str(config)]) == 1
+    return cli.main(["analyze", "--config", str(config)]), out
+
+
+def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
+    code, out = analyze_cut_measures(release, tmp_path, lambda text: text[: len(text) // 2])
+    assert code == 1
     with pytest.raises(ValueError, match=r"measures\.tsv: line \d+: expected 6 columns"):
         pipeline.read_measure_matrix(str(out))
+
+
+def test_jobs_do_not_change_outputs(release):
+    root, config, _, _ = release
+    assert cli.main(["run-all", "--config", config, "--jobs", "2", "--out", str(root / "out2")]) == 0
+    for name in os.listdir(root / "out"):
+        assert (root / "out2" / name).read_bytes() == (root / "out" / name).read_bytes(), name
+
+
+def test_neg_ia_pinned(release):
+    root, _, _, _ = release
+    ia = json.loads((root / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]
+    assert {tb: r["mean_accuracy"] for tb, r in ia.items()} == PINNED_IA_ACCURACY
+    _, _, rows = pipeline._read_tsv(str(root / "out" / "measures.tsv"))
+    cells = {row[0]: row[2] for row in rows if row[1] == "neg_ia"}
+    assert cells == {tb: f"{-acc:.12g}" for tb, acc in PINNED_IA_ACCURACY.items()}
+
+
+def test_no_step_hyperparameter_in_outputs(release):
+    root, _, _, _ = release
+    ia = json.loads((root / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]
+    assert all(set(r) == {"ngram_order", "epochs", "mean_accuracy", "fold_accuracies", "n_draws"}
+               for r in ia.values())
+    meta = json.loads((root / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert set(meta["ia_search"]) == {"n_folds", "n_draws", "ngram_range", "epoch_range"}
+
+
+def test_measures_tsv_cut_inside_available_fails_analyze(release, tmp_path):
+    code, out = analyze_cut_measures(
+        release, tmp_path, lambda text: text[: text.index("\ttr") + len("\ttr")]
+    )
+    assert code == 1
+    with pytest.raises(ValueError, match=r"measures\.tsv: row tb0/ttr: available is 'tr'"):
+        pipeline.read_measure_matrix(str(out))
+
+
+def test_no_ridge_row_for_rounding_level_component(tmp_path):
+    """Six complete treebanks and eight measures leave five components."""
+    ids = [f"tb{i}" for i in range(6)]
+    values = np.random.default_rng(3).normal(size=(len(ids), len(ALL_MEASURES)))
+    rows = [
+        [tb, m, repr(float(values[i, j])), "0", "1", "true"]
+        for i, tb in enumerate(ids)
+        for j, m in enumerate(ALL_MEASURES)
+    ]
+    pipeline._write_tsv(
+        str(tmp_path / "measures.tsv"), {"seed": 0},
+        ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"], rows,
+    )
+    pipeline._write_tsv(
+        str(tmp_path / "treebanks.tsv"), {"seed": 0}, ["treebank_id", "language_code"],
+        [[tb, f"l{i}"] for i, tb in enumerate(ids)],
+    )
+    write_wals(tmp_path / "wals.csv", [f"l{i}" for i in range(len(ids))])
+    config = RunConfig(manifest="", out_dir=str(tmp_path), wals_csv=str(tmp_path / "wals.csv"))
+    result = pipeline.run_analyze(str(tmp_path), config)
+    assert result.pca_result.loadings.shape[0] == 5
+    assert float(result.pca_result.explained_ratios.sum()) == pytest.approx(1.0, abs=1e-12)
+    _, _, ridge = pipeline._read_tsv(str(tmp_path / "ridge.tsv"))
+    assert [r[0] for r in ridge] == list(ALL_MEASURES) + [f"pc{k}" for k in range(1, 6)]
