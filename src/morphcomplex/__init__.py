@@ -13,8 +13,6 @@ from .analysis import (
 )
 from .conllu import (
     ExclusionConfig,
-    Sentence,
-    Token,
     Treebank,
     apply_exclusions,
     parse_conllu,
@@ -57,8 +55,6 @@ __all__ = [
     "RidgeReport",
     "Sample",
     "SampleConfig",
-    "Sentence",
-    "Token",
     "Treebank",
     "WalsRecord",
     "apply_exclusions",

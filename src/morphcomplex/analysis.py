@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from .wals import DesignMatrix
 
@@ -37,13 +37,9 @@ class MeasureMatrix:
     def available(self) -> np.ndarray:
         return ~np.isnan(self.values)
 
-    def column(self, measure: str) -> np.ndarray:
-        return self.values[:, self.measures.index(measure)]
-
-    def complete_rows(self, columns: Sequence[int] | None = None) -> np.ndarray:
-        """Boolean row mask: complete for the involved columns."""
-        sub = self.values if columns is None else self.values[:, list(columns)]
-        return ~np.isnan(sub).any(axis=1)
+    def complete_rows(self) -> np.ndarray:
+        """Boolean row mask: rows with every column available."""
+        return ~np.isnan(self.values).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ def _t_significant(r: float, n: int) -> bool:
     if denom <= 1e-15:
         return True
     t = abs(r) * math.sqrt((n - 2) / denom)
-    p = 2.0 * float(scipy_stats.t.sf(t, n - 2))
+    p = 2.0 * float(special.stdtr(n - 2, -t))
     return p < P_THRESHOLD
 
 
@@ -109,7 +105,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, bool]:
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
-    return scipy_stats.rankdata(np.asarray(values, dtype=float), method="average")
+    v = np.asarray(values, dtype=float)
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> tuple[float, bool]:

@@ -1,13 +1,16 @@
-"""CoNLL-U parsing and treebank-level exclusion rules.
+"""CoNLL-U parsing into a columnar treebank, and treebank-level exclusion rules.
 
 Only the columns needed for morphological statistics are kept: FORM,
-LEMMA, UPOS and FEATS.  Dependency columns are ignored entirely.
+LEMMA and FEATS, each interned into a table of distinct values with one
+``int32`` ID per token.  UPOS and the dependency columns are dropped.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 # Column "_" (no annotation) is stored as the empty string.  Measures that
 # need a lemma skip tokens whose lemma is empty; form-only measures count
@@ -33,44 +36,40 @@ class ConlluParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Token:
-    """One syntactic word: surface form, lemma, POS tag and feature pairs."""
-
-    form: str
-    lemma: str
-    upos: str
-    feats: tuple[tuple[str, str], ...] = ()
-
-    def feature_keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.feats)
-
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Treebank:
+    """Basic-node tokens as parallel ID arrays over interned tables.
+
+    Token ``i`` has form ``forms[form_ids[i]]``, lemma ``lemmas[lemma_ids[i]]``
+    and sorted Key=Value pairs ``bundles[bundle_ids[i]]``.  Lemma ID 0 is the
+    empty marker and bundle ID 0 the empty bundle, so ``!= 0`` tests for an
+    annotation.  ``sentences`` holds each sentence's first token index.
+    Tables are in first-occurrence order, so equal input gives equal IDs.
+    """
+
     id: str
     language_code: str
-    sentences: tuple[Sentence, ...]
-    n_tokens: int
-    n_feature_keys: int
+    forms: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    bundles: tuple[tuple[tuple[str, str], ...], ...]
+    form_ids: np.ndarray
+    lemma_ids: np.ndarray
+    bundle_ids: np.ndarray
+    sentences: np.ndarray
 
-    @classmethod
-    def build(cls, id: str, language_code: str, sentences: tuple[Sentence, ...]) -> "Treebank":
-        keys = {k for sent in sentences for tok in sent.tokens for k, _ in tok.feats}
-        n_tokens = sum(len(s) for s in sentences)
-        return cls(id, language_code, sentences, n_tokens, len(keys))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Treebank) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
 
-    def __post_init__(self):
-        if self.n_tokens != sum(len(s) for s in self.sentences):
-            raise ValueError(f"treebank {self.id}: n_tokens does not match sentence lengths")
+    @property
+    def n_tokens(self) -> int:
+        return len(self.form_ids)
+
+    @property
+    def n_feature_keys(self) -> int:
+        return len({key for bundle in self.bundles for key, _ in bundle})
 
 
 def _parse_feats(cell: str, line_no: int) -> tuple[tuple[str, str], ...]:
@@ -87,25 +86,23 @@ def _parse_feats(cell: str, line_no: int) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs.items()))
 
 
-def _is_basic_id(cell: str) -> bool:
-    return cell.isdigit()
-
-
 def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
     """Parse CoNLL-U text into a Treebank of basic-node tokens.
 
     Multiword-token range lines (``1-2``) and empty nodes (``1.1``) are
     skipped.  Comment lines start with ``#``; blank lines end a sentence.
+    A leading byte-order mark and CRLF line ends are accepted.
     ``lowercase`` folds forms and lemmas (off by default).
     """
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    forms: dict[str, int] = {}
+    lemmas: dict[str, int] = {EMPTY_MARKER: 0}
+    bundles: dict[tuple[tuple[str, str], ...], int] = {(): 0}
+    cells: dict[str, int] = {}  # FEATS cell -> bundle ID: each distinct cell is parsed once
+    form_ids, lemma_ids, bundle_ids, boundaries = [], [], [], [0]
+    for line_no, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = line.rstrip("\r")
         if not line.strip():
-            if current:
-                sentences.append(Sentence(tuple(current)))
-                current = []
+            boundaries.append(len(form_ids))
             continue
         if line.startswith("#"):
             continue
@@ -113,11 +110,11 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
         if len(cols) != _N_COLUMNS:
             raise ConlluParseError(f"expected {_N_COLUMNS} columns, got {len(cols)}", line_no)
         tok_id = cols[0]
-        if "-" in tok_id or "." in tok_id:
-            continue  # surface range line or empty node
-        if not _is_basic_id(tok_id):
+        if not tok_id.isdigit():
+            if "-" in tok_id or "." in tok_id:
+                continue  # surface range line or empty node
             raise ConlluParseError(f"unparsable token ID {tok_id!r}", line_no)
-        form, lemma, upos = cols[1], cols[2], cols[3]
+        form, lemma, feats = cols[1], cols[2], cols[5]
         if not form or not lemma:
             raise ConlluParseError("empty FORM or LEMMA column", line_no)
         form = EMPTY_MARKER if form == "_" else form
@@ -125,17 +122,22 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
         if lowercase:
             form = form.lower()
             lemma = lemma.lower()
-        feats = _parse_feats(cols[5], line_no)
-        current.append(Token(form=form, lemma=lemma, upos=upos, feats=feats))
-    if current:
-        sentences.append(Sentence(tuple(current)))
-    if not sentences:
+        bundle = cells.get(feats)
+        if bundle is None:
+            bundle = cells[feats] = bundles.setdefault(_parse_feats(feats, line_no), len(bundles))
+        form_ids.append(forms.setdefault(form, len(forms)))
+        lemma_ids.append(lemmas.setdefault(lemma, len(lemmas)))
+        bundle_ids.append(bundle)
+    if not form_ids:
         raise ConlluParseError("no sentences found in input", 0)
-    return Treebank.build(id, language_code, tuple(sentences))
+    starts = np.unique(boundaries)
+    columns = (form_ids, lemma_ids, bundle_ids, starts[starts < len(form_ids)])
+    ids = (np.array(col, dtype=np.int32) for col in columns)
+    return Treebank(id, language_code, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
 
 
 def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
-    with open(path, encoding="utf-8-sig") as f:
+    with open(path, encoding="utf-8") as f:
         return parse_conllu(f.read(), id, language_code, lowercase=lowercase)
 
 
@@ -170,8 +172,6 @@ class ExclusionConfig:
 
     min_feature_keys: int = 3
     script_excluded_ids: frozenset[str] = field(default_factory=frozenset)
-    feature_measures: tuple[str, ...] = FEATURE_MEASURES
-    script_measures: tuple[str, ...] = SCRIPT_MEASURES
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,9 @@ def apply_exclusions(
     for tb in treebanks:
         reasons: list[Exclusion] = []
         if tb.n_feature_keys < rules.min_feature_keys:
-            reasons.append(Exclusion(tb.id, REASON_NO_MORPH, rules.feature_measures))
+            reasons.append(Exclusion(tb.id, REASON_NO_MORPH, FEATURE_MEASURES))
         if tb.id in rules.script_excluded_ids:
-            reasons.append(Exclusion(tb.id, REASON_NON_ALPHABETIC, rules.script_measures))
+            reasons.append(Exclusion(tb.id, REASON_NON_ALPHABETIC, SCRIPT_MEASURES))
         if reasons:
             excluded[tb.id] = tuple(reasons)
     return excluded

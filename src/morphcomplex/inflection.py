@@ -32,14 +32,21 @@ class InflectionInstance:
 
 def extract_instances(sample: Sample) -> list[InflectionInstance]:
     """One instance per token with a lemma and features; exact duplicates
-    collapse to one, but conflicting forms for a (lemma, bundle) all stay."""
-    seen: dict[InflectionInstance, None] = {}
-    for tok in sample.tokens():
-        if not tok.lemma or not tok.form or not tok.feats:
-            continue
-        inst = InflectionInstance(tok.lemma, canonical_bundle(tok.feats), tok.form)
-        seen.setdefault(inst, None)
-    return list(seen)
+    collapse to one, but conflicting forms for a (lemma, bundle) all stay.
+    Instances come in the order of their first token."""
+    tb = sample.treebank
+    lemma, bundle, form = (
+        col[sample.tokens].astype(np.int64) for col in (tb.lemma_ids, tb.bundle_ids, tb.form_ids)
+    )
+    has_form = np.array([bool(f) for f in tb.forms])
+    keep = np.flatnonzero((lemma != 0) & (bundle != 0) & has_form[form])
+    codes = (lemma[keep] * len(tb.bundles) + bundle[keep]) * len(tb.forms) + form[keep]
+    first = keep[np.sort(np.unique(codes, return_index=True)[1])]
+    names = [canonical_bundle(pairs) for pairs in tb.bundles]
+    return [
+        InflectionInstance(tb.lemmas[l], names[b], tb.forms[f])
+        for l, b, f in zip(lemma[first].tolist(), bundle[first].tolist(), form[first].tolist())
+    ]
 
 
 @dataclass(frozen=True, order=True)

@@ -11,16 +11,18 @@ Measures that need lemma or feature annotation return ``None`` (the
 unavailable marker) instead of a value when the sample carries no usable
 annotation; downstream analysis drops those cells rather than treating
 them as zeros.
+
+Every measure counts over the treebank's interned ID arrays at the
+sample's token indices (``np.bincount``/``np.unique``); Python loops run
+only over the distinct feature bundles or word types of a sample.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,48 +40,54 @@ _COMPRESS_LEVEL = 9
 
 # Replacement strings must never contain the characters used to join
 # tokens and sentences when serializing for compression.
-_DELIMITERS = frozenset({" ", "\n", "\r", "\t"})
+_DELIMITER_CODES = np.array([ord(c) for c in " \n\r\t"], dtype=np.uint32)
 _DISTORT_MAX_RETRIES = 32
 
 
-def plugin_entropy(counts: Mapping[str, int]) -> float:
-    """Maximum-likelihood entropy in bits of a frequency table.
+def plugin_entropy(counts: np.ndarray) -> float:
+    """Maximum-likelihood entropy in bits of a vector of counts.
 
     No smoothing: probabilities are raw relative frequencies c_i / N.
     """
-    if not counts:
+    counts = np.asarray(counts)
+    if not len(counts):
         raise ValueError("empty frequency table")
-    total = 0
-    for item, c in counts.items():
-        if c < 1:
-            raise ValueError(f"count for {item!r} must be >= 1, got {c}")
-        total += c
-    h = 0.0
-    for c in counts.values():
-        p = c / total
-        h -= p * math.log2(p)
-    return max(h, 0.0)
+    if counts.min() < 1:
+        raise ValueError(f"counts must be >= 1, got {counts.min()}")
+    p = counts / counts.sum()
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
+def _counts(ids: np.ndarray) -> np.ndarray:
+    """Occurrences of each distinct ID, in ID order."""
+    counts = np.bincount(ids)
+    return counts[counts > 0]
+
+
+def _lemmatized(sample: Sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Form, lemma and bundle IDs of the sample tokens that carry a lemma."""
+    tb = sample.treebank
+    ids = [col[sample.tokens] for col in (tb.form_ids, tb.lemma_ids, tb.bundle_ids)]
+    keep = ids[1] != 0
+    return ids[0][keep], ids[1][keep], ids[2][keep]
 
 
 def ttr(sample: Sample) -> float:
     """Distinct word forms divided by running tokens."""
     if sample.n_tokens == 0:
         raise ValueError("empty sample")
-    types = {tok.form for tok in sample.tokens()}
-    return len(types) / sample.n_tokens
+    return len(_counts(sample.treebank.form_ids[sample.tokens])) / sample.n_tokens
 
 
 def word_entropy(sample: Sample) -> float:
     """Entropy of the word-form frequency distribution."""
-    return plugin_entropy(Counter(tok.form for tok in sample.tokens()))
+    return plugin_entropy(_counts(sample.treebank.form_ids[sample.tokens]))
 
 
 def lemma_entropy(sample: Sample) -> float | None:
     """Entropy of the lemma frequency distribution; None without lemmas."""
-    counts = Counter(tok.lemma for tok in sample.tokens() if tok.lemma)
-    if not counts:
-        return None
-    return plugin_entropy(counts)
+    _, lemmas, _ = _lemmatized(sample)
+    return plugin_entropy(_counts(lemmas)) if len(lemmas) else None
 
 
 def msp(sample: Sample) -> float | None:
@@ -87,15 +95,10 @@ def msp(sample: Sample) -> float | None:
 
     Only tokens carrying a lemma participate; None when there are none.
     """
-    forms: set[str] = set()
-    lemmas: set[str] = set()
-    for tok in sample.tokens():
-        if tok.lemma:
-            forms.add(tok.form)
-            lemmas.add(tok.lemma)
-    if not lemmas:
+    forms, lemmas, _ = _lemmatized(sample)
+    if not len(lemmas):
         return None
-    return len(forms) / len(lemmas)
+    return len(_counts(forms)) / len(_counts(lemmas))
 
 
 def inflectional_synthesis(sample: Sample, count_values: bool = False) -> float | None:
@@ -104,15 +107,24 @@ def inflectional_synthesis(sample: Sample, count_values: bool = False) -> float 
     ``count_values=True`` switches the unit from feature keys to full
     key=value pairs.
     """
-    per_lemma: dict[str, set] = {}
-    for tok in sample.tokens():
-        if not tok.lemma or not tok.feats:
-            continue
-        units = tok.feats if count_values else tuple(k for k, _ in tok.feats)
-        per_lemma.setdefault(tok.lemma, set()).update(units)
-    if not per_lemma:
+    _, lemmas, bundles = _lemmatized(sample)
+    keep = bundles != 0
+    if not keep.any():
         return None
-    return float(max(len(s) for s in per_lemma.values()))
+    table = sample.treebank.bundles
+    pairs = np.unique(lemmas[keep].astype(np.int64) * len(table) + bundles[keep])
+    lemma, bundle = np.divmod(pairs, len(table))
+    used, row = np.unique(bundle, return_inverse=True)
+    units: dict = {}  # unit -> column of the used-bundle-by-unit indicator matrix
+    cols = [
+        [units.setdefault(u, len(units)) for u in (p if count_values else (k for k, _ in p))]
+        for p in (table[b] for b in used.tolist())
+    ]
+    matrix = np.zeros((len(used), len(units)), dtype=bool)
+    for r, c in enumerate(cols):
+        matrix[r, c] = True
+    per_lemma = np.logical_or.reduceat(matrix[row], np.flatnonzero(np.diff(lemma, prepend=-1)))
+    return float(per_lemma.sum(axis=1).max())
 
 
 def feature_entropy(sample: Sample) -> float | None:
@@ -121,15 +133,13 @@ def feature_entropy(sample: Sample) -> float | None:
     Each pair counts once per token carrying it, so frequent inflections
     weigh more than rare ones.
     """
-    counts: Counter[str] = Counter()
-    for tok in sample.tokens():
-        if not tok.lemma or not tok.feats:
-            continue
-        for key, value in tok.feats:
-            counts[f"{key}={value}"] += 1
-    if not counts:
-        return None
-    return plugin_entropy(counts)
+    _, _, bundles = _lemmatized(sample)
+    per_bundle = np.bincount(bundles[bundles != 0])
+    counts: dict[tuple[str, str], int] = {}
+    for b in np.flatnonzero(per_bundle).tolist():
+        for pair in sample.treebank.bundles[b]:
+            counts[pair] = counts.get(pair, 0) + int(per_bundle[b])
+    return plugin_entropy(list(counts.values())) if counts else None
 
 
 @dataclass(frozen=True)
@@ -146,18 +156,17 @@ class CharUnigramModel:
 
 def char_unigram_model(sample: Sample) -> CharUnigramModel:
     """Token-weighted character counts over forms, delimiters excluded."""
-    counts: Counter[str] = Counter()
-    for tok in sample.tokens():
-        for ch in tok.form:
-            if ch not in _DELIMITERS:
-                counts[ch] += 1
-    if not counts:
+    types, counts = np.unique(sample.treebank.form_ids[sample.tokens], return_counts=True)
+    words = [sample.treebank.forms[t] for t in types.tolist()]
+    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
+    weights = np.repeat(counts, [len(w) for w in words])
+    keep = ~np.isin(codes, _DELIMITER_CODES)
+    chars, inverse = np.unique(codes[keep], return_inverse=True)
+    if not len(chars):
         # Degenerate sample whose forms are all delimiter characters.
-        counts["x"] = 1
-    chars = tuple(sorted(counts))
-    total = sum(counts.values())
-    probs = np.array([counts[c] / total for c in chars], dtype=float)
-    return CharUnigramModel(chars, probs)
+        return CharUnigramModel(("x",), np.ones(1))
+    char_counts = np.bincount(inverse, weights=weights[keep])
+    return CharUnigramModel(tuple(map(chr, chars.tolist())), char_counts / char_counts.sum())
 
 
 def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
@@ -191,35 +200,46 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
     unigram model.  Every occurrence of a type is replaced identically, so
     the distorted text keeps the original type/token statistics while its
     within-word structure is destroyed.
+
+    Each round draws the characters of every type still unmapped in one
+    call; in first-occurrence order, a type keeps its draw unless an
+    earlier type already holds that string.  After the retry budget the
+    rest take the next free string.
     """
+    tb = sample.treebank
+    types, first, inverse = np.unique(
+        tb.form_ids[sample.tokens], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)  # word types in first-occurrence order
+    lengths = [len(tb.forms[t]) for t in types[order].tolist()]
     model = char_unigram_model(sample)
-    chars = np.array(model.chars)
-    mapping: dict[str, str] = {}
+    codes = np.array([ord(c) for c in model.chars], dtype=np.uint32)
+    replacement = [""] * len(lengths)
     used: set[str] = set()
-    for tok in sample.tokens():
-        if tok.form in mapping:
-            continue
-        length = len(tok.form)
-        if length == 0:
-            mapping[tok.form] = ""
-            continue
-        replacement = None
-        for _ in range(_DISTORT_MAX_RETRIES):
-            draw = rng.choice(chars, size=length, p=model.probabilities)
-            cand = "".join(draw)
-            if cand not in used:
-                replacement = cand
-                break
-        if replacement is None:
-            replacement = _next_free(cand, used, model.chars)
-            log.warning(
-                "distort: retry budget exhausted for a length-%d type; "
-                "used deterministic disambiguation",
-                length,
-            )
-        mapping[tok.form] = replacement
-        used.add(replacement)
-    return [[mapping[tok.form] for tok in sent.tokens] for sent in sample.sentences]
+    pending = [k for k, length in enumerate(lengths) if length]
+    for _ in range(_DISTORT_MAX_RETRIES):
+        if not pending:
+            break
+        draw = rng.choice(len(codes), size=sum(lengths[k] for k in pending), p=model.probabilities)
+        text = codes[draw].tobytes().decode("utf-32-le")
+        collided, start = [], 0
+        for k in pending:
+            cand = replacement[k] = text[start : start + lengths[k]]
+            start += lengths[k]
+            if cand in used:
+                collided.append(k)
+            else:
+                used.add(cand)
+        pending = collided
+    for k in pending:
+        replacement[k] = _next_free(replacement[k], used, model.chars)
+        used.add(replacement[k])
+        log.warning(
+            "distort: retry budget exhausted for a length-%d type; "
+            "used deterministic disambiguation",
+            lengths[k],
+        )
+    return sample.rows([replacement[k] for k in np.argsort(order)[inverse].tolist()])
 
 
 def serialize_rows(rows: Iterable[Iterable[str]]) -> str:
@@ -228,7 +248,8 @@ def serialize_rows(rows: Iterable[Iterable[str]]) -> str:
 
 
 def serialize_sample(sample: Sample) -> str:
-    return serialize_rows([tok.form for tok in sent.tokens] for sent in sample.sentences)
+    tb = sample.treebank
+    return serialize_rows(sample.rows([tb.forms[f] for f in tb.form_ids[sample.tokens].tolist()]))
 
 
 def compression_ratio(text: str) -> float:

@@ -7,6 +7,7 @@ file so outputs are traceable to their configuration.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -75,6 +76,13 @@ def _write_atomic(path: str, text: str):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _remove_outputs(out_dir: str, *names: str):
+    """Delete earlier runs' copies of outputs this run may not write."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
 
 def _write_json(path: str, obj: object):
@@ -395,6 +403,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
     from .wals import encode, load_wals
 
     matrix, languages, seed = read_measure_matrix(out_dir)
+    _remove_outputs(out_dir, PCA_TSV, PCA_SCORES_TSV, RIDGE_TSV)
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
@@ -535,6 +544,7 @@ def run_plot(out_dir: str) -> list[str]:
     """Render SVG figures from the analysis TSVs; returns written paths."""
     written: list[str] = []
     matrix, _, seed = read_measure_matrix(out_dir)
+    _remove_outputs(out_dir, PCA_SVG, WALS_ERROR_SVG)
     svg = svgplot.measure_panels(matrix, seed=seed)
     path = os.path.join(out_dir, MEASURES_SVG)
     _write_atomic(path, svg)

@@ -1,8 +1,9 @@
 """Bootstrap sampling of sentences and aggregation over repetitions.
 
-Every random stream is derived from (run seed, treebank id, repetition
-index, stream tag), so results do not depend on execution order or on how
-work is spread over processes.
+A sample is an array of token indices into its treebank, with the start
+offset of every drawn sentence.  Every random stream is derived from (run
+seed, treebank id, repetition index, stream tag), so results do not depend
+on execution order or on how work is spread over processes.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .conllu import Sentence, Token, Treebank
+from .conllu import Treebank
 
 # Stream tags keep the sampling draw, the per-measure draws and the single
 # inflection-learner sample independent of each other.
@@ -42,16 +43,26 @@ class SampleConfig:
             raise ValueError("repetitions must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Sentences drawn with replacement; the last one may be truncated."""
+    """Sentences drawn with replacement; the last one may be truncated.
 
-    sentences: tuple[Sentence, ...]
-    n_tokens: int
+    ``tokens`` holds the treebank index of every sample token, in order, and
+    ``sentences`` the offset in ``tokens`` where each drawn sentence starts.
+    """
 
-    def tokens(self) -> Iterator[Token]:
-        for sent in self.sentences:
-            yield from sent.tokens
+    treebank: Treebank
+    tokens: np.ndarray
+    sentences: np.ndarray
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.tokens)
+
+    def rows(self, values: list) -> list[list]:
+        """Split one value per sample token into one list per sentence."""
+        bounds = self.sentences.tolist() + [len(values)]
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -96,25 +107,21 @@ def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Gene
     The final sentence is truncated so the sample holds exactly
     ``target_tokens`` tokens; order inside each sentence is preserved.
     """
-    if not treebank.sentences or treebank.n_tokens == 0:
+    if len(treebank.sentences) == 0 or treebank.n_tokens == 0:
         raise ValueError(f"treebank {treebank.id}: cannot sample from an empty treebank")
     if target_tokens < 1:
         raise ValueError("target_tokens must be >= 1")
-    n_sent = len(treebank.sentences)
-    drawn: list[Sentence] = []
+    lengths = np.diff(treebank.sentences, append=treebank.n_tokens)
+    sizes = lengths.tolist()
+    drawn: list[int] = []
     total = 0
     while total < target_tokens:
-        sent = treebank.sentences[int(rng.integers(0, n_sent))]
-        if total + len(sent) >= target_tokens:
-            keep = target_tokens - total
-            if keep < len(sent):
-                sent = Sentence(sent.tokens[:keep])
-            drawn.append(sent)
-            total += keep
-        else:
-            drawn.append(sent)
-            total += len(sent)
-    return Sample(tuple(drawn), total)
+        drawn.append(int(rng.integers(0, len(sizes))))
+        total += sizes[drawn[-1]]
+    lens = lengths[drawn]
+    starts = np.cumsum(lens) - lens
+    tokens = np.repeat(treebank.sentences[drawn] - starts, lens) + np.arange(total)
+    return Sample(treebank, tokens[:target_tokens], starts)
 
 
 def run_repetitions(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from morphcomplex.conllu import Sentence, Token, Treebank
+from morphcomplex.conllu import Treebank, parse_conllu
 from morphcomplex.sampling import Sample
+from reference import Token
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -17,12 +18,29 @@ def make_token(form: str, lemma: str | None = None, upos: str = "X",
 
 
 def make_sample(sentences: list[list[Token]]) -> Sample:
-    sents = tuple(Sentence(tuple(toks)) for toks in sentences)
-    return Sample(sents, sum(len(s) for s in sents))
+    """Every token of ``sentences``, in order, as one sample."""
+    tb = make_treebank("sample", "xx", sentences)
+    return Sample(tb, np.arange(tb.n_tokens), tb.sentences)
 
 
 def make_treebank(id: str, language_code: str, sentences: list[list[Token]]) -> Treebank:
-    return Treebank.build(id, language_code, tuple(Sentence(tuple(t)) for t in sentences))
+    return parse_conllu(conllu_text(sentences), id, language_code)
+
+
+def sample_forms(sample: Sample) -> list[str]:
+    """The form of every sample token, in order."""
+    tb = sample.treebank
+    return [tb.forms[f] for f in tb.form_ids[sample.tokens]]
+
+
+def treebank_tokens(tb: Treebank) -> list[list[Token]]:
+    """``tb`` as one token list per sentence; UPOS, which is not kept, reads "X"."""
+    tokens = [
+        Token(tb.forms[f], tb.lemmas[l], "X", tb.bundles[b])
+        for f, l, b in zip(tb.form_ids.tolist(), tb.lemma_ids.tolist(), tb.bundle_ids.tolist())
+    ]
+    bounds = tb.sentences.tolist() + [tb.n_tokens]
+    return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def random_word(rng: np.random.Generator, length: int) -> str:
@@ -104,7 +122,8 @@ def conllu_text(sentences: list[list[Token]]) -> str:
         lines.append(f"# sent_id = {number}")
         for idx, tok in enumerate(sentence, start=1):
             feats = "|".join(f"{k}={v}" for k, v in tok.feats) or "_"
-            lines.append(f"{idx}\t{tok.form}\t{tok.lemma or '_'}\t{tok.upos}\t_\t{feats}\t0\tdep\t_\t_")
+            form, lemma = tok.form or "_", tok.lemma or "_"
+            lines.append(f"{idx}\t{form}\t{lemma}\t{tok.upos}\t_\t{feats}\t0\tdep\t_\t_")
         lines.append("")
     return "\n".join(lines) + "\n"
 

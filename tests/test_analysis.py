@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from morphcomplex.analysis import (
     DEFAULT_ALPHA_GRID,
     MeasureMatrix,
+    _t_significant,
     average_ranks,
     correlation_matrix,
     pca,
@@ -106,6 +111,12 @@ class TestSpearman:
         for _ in range(50):
             v = rng.integers(0, 5, size=int(rng.integers(3, 15))).astype(float)
             np.testing.assert_allclose(average_ranks(v), rank_oracle(list(v)))
+
+    def test_matches_scipy_rankdata_with_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            v = rng.integers(0, 6, size=int(rng.integers(1, 30))) * rng.choice([0.5, 1.0, -3.0])
+            assert np.array_equal(average_ranks(v), stats.rankdata(v, method="average"))
 
     def test_invariant_under_strictly_increasing_transforms(self):
         rng = np.random.default_rng(4)
@@ -475,3 +486,30 @@ class TestRidge:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             ridge_loocv(np.zeros((2, 1)), [1.0, 2.0])
+
+
+class TestSignificance:
+    def test_matches_scipy_t_distribution(self):
+        rng = np.random.default_rng(9)
+        r_values = np.concatenate([rng.uniform(-1, 1, 300), [0.0, 0.5, -0.5, 0.997]])
+        for r in r_values:
+            for n in (3, 4, 10, 30):
+                t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
+                assert _t_significant(r, n) == (2 * stats.t.sf(t, n - 2) < 0.05)
+
+    def test_threshold_neighbourhood(self):
+        # Critical |r| for n = 10 at p = 0.05 is 0.6319...; both sides agree with scipy.
+        for r in np.linspace(0.60, 0.66, 61):
+            t = r * math.sqrt(8 / (1 - r * r))
+            assert _t_significant(r, 10) == (2 * stats.t.sf(t, 8) < 0.05)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    import morphcomplex
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morphcomplex.__file__))}
+    code = "import sys, morphcomplex.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

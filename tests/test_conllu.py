@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from morphcomplex.conllu import (
     ConlluParseError,
     ExclusionConfig,
-    Treebank,
     apply_exclusions,
     parse_conllu,
     parse_conllu_file,
@@ -13,7 +12,8 @@ from morphcomplex.conllu import (
     unavailable_measures,
 )
 
-from synthdata import make_token, make_treebank
+import reference
+from synthdata import conllu_text, make_token, make_treebank, treebank_tokens
 
 
 def token_line(idx, form, lemma="_", upos="NOUN", feats="_"):
@@ -36,7 +36,7 @@ SIMPLE = "\n".join(
 class TestParse:
     def test_feats_parsed_into_pairs(self):
         tb = parse_conllu(SIMPLE, "fi_x", "fi")
-        assert tb.sentences[0].tokens[0].feats == (("Case", "Nom"), ("Number", "Plur"))
+        assert treebank_tokens(tb)[0][0].feats == (("Case", "Nom"), ("Number", "Plur"))
 
     def test_counts(self):
         tb = parse_conllu(SIMPLE, "fi_x", "fi")
@@ -54,7 +54,7 @@ class TestParse:
             ]
         )
         tb = parse_conllu(text, "es_x", "es")
-        assert [t.form for t in tb.sentences[0].tokens] == ["de", "el"]
+        assert [t.form for t in treebank_tokens(tb)[0]] == ["de", "el"]
 
     def test_empty_nodes_skipped(self):
         text = "\n".join(
@@ -66,15 +66,15 @@ class TestParse:
             ]
         )
         tb = parse_conllu(text, "x", "xx")
-        assert [t.form for t in tb.sentences[0].tokens] == ["a", "b"]
+        assert [t.form for t in treebank_tokens(tb)[0]] == ["a", "b"]
 
     def test_underscore_feats_is_empty_set(self):
         tb = parse_conllu(token_line(1, "a", "a") + "\n", "x", "xx")
-        assert tb.sentences[0].tokens[0].feats == ()
+        assert treebank_tokens(tb)[0][0].feats == ()
 
     def test_underscore_lemma_becomes_empty_marker(self):
         tb = parse_conllu(token_line(1, "word") + "\n", "x", "xx")
-        tok = tb.sentences[0].tokens[0]
+        [[tok]] = treebank_tokens(tb)
         assert tok.form == "word"
         assert tok.lemma == ""
 
@@ -84,7 +84,7 @@ class TestParse:
 
     def test_lowercase_switch(self):
         tb = parse_conllu(token_line(1, "Koira", "Koira") + "\n", "x", "xx", lowercase=True)
-        assert tb.sentences[0].tokens[0].form == "koira"
+        assert treebank_tokens(tb)[0][0].form == "koira"
 
     def test_missing_final_blank_line(self):
         tb = parse_conllu(token_line(1, "a", "a"), "x", "xx")
@@ -122,7 +122,7 @@ class TestParse:
         path.write_bytes(b"\xef\xbb\xbf" + SIMPLE.encode("utf-8"))
         tb = parse_conllu_file(str(path), "x", "xx")
         assert tb.n_tokens == 3
-        assert tb.sentences[0].tokens[0].form == "koirat"
+        assert treebank_tokens(tb)[0][0].form == "koirat"
 
 
 @st.composite
@@ -144,11 +144,68 @@ class TestParseProperties:
                 lines.append(token_line(i + 1, form, form))
             lines.append("")
         tb = parse_conllu("\n".join(lines), "x", "xx")
-        assert [len(s) for s in tb.sentences] == shapes
-        assert [t.form for s in tb.sentences for t in s.tokens] == expected_forms
+        assert [len(s) for s in treebank_tokens(tb)] == shapes
+        assert [t.form for s in treebank_tokens(tb) for t in s] == expected_forms
 
     def test_parsing_is_deterministic(self):
         assert parse_conllu(SIMPLE, "x", "xx") == parse_conllu(SIMPLE, "x", "xx")
+
+
+# Any text without tab or line break characters; reference.parse_conllu
+# splits lines on every character str.splitlines() breaks at.
+CELL_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=5
+)
+FEATS_CELL = st.dictionaries(
+    st.sampled_from(["Case", "Number", "Gender", "Person", "Tense"]),
+    st.text("abcXYZ019", min_size=1, max_size=3),
+    max_size=4,
+).map(lambda pairs: "|".join(f"{k}={v}" for k, v in pairs.items()) or "_")
+
+
+@st.composite
+def conllu_lines(draw):
+    """Token lines, with range lines, empty nodes, comments and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lines.append("# text = " + draw(CELL_TEXT))
+        for i in range(1, draw(st.integers(1, 5)) + 1):
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(f"{i}-{i + 1}\t{draw(CELL_TEXT)}\t_\t_\t_\t_\t_\t_\t_\t_")
+            form = draw(st.one_of(st.just("_"), CELL_TEXT))
+            lemma = draw(st.one_of(st.just("_"), CELL_TEXT))
+            lines.append(token_line(i, form, lemma, feats=draw(FEATS_CELL)))
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(f"{i}.1\t{draw(CELL_TEXT)}\t_\t_\t_\t_\t_\t_\t_\t_")
+        lines.append("")
+    return lines
+
+
+def encode(lines, crlf, bom):
+    return ("\ufeff" if bom else "") + ("\r\n" if crlf else "\n").join(lines)
+
+
+class TestRoundTrip:
+    @given(lines=conllu_lines(), crlf=st.booleans(), bom=st.booleans(), lowercase=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_serialize_parse(self, lines, crlf, bom, lowercase):
+        tb = parse_conllu(encode(lines, crlf, bom), "x", "xx", lowercase=lowercase)
+        assert parse_conllu(conllu_text(treebank_tokens(tb)), "x", "xx", lowercase=lowercase) == tb
+        old = reference.parse_conllu(encode(lines, crlf, False), "x", "xx", lowercase=lowercase)
+        expected = [[(t.form, t.lemma, t.feats) for t in s.tokens] for s in old.sentences]
+        assert [[(t.form, t.lemma, t.feats) for t in s] for s in treebank_tokens(tb)] == expected
+
+    @given(lines=conllu_lines(), crlf=st.booleans(), bom=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_error_names_the_line(self, lines, crlf, bom, data):
+        at = data.draw(st.integers(0, len(lines)))
+        bad = data.draw(st.sampled_from(
+            [token_line(1, "a", feats="Case"), "1\tonly-two", token_line("x", "a")]
+        ))
+        with pytest.raises(ConlluParseError) as err:
+            parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x", "xx")
+        assert err.value.line_no == at + 1
 
 
 def featureless_treebank(tb_id, n_keys):
@@ -220,7 +277,3 @@ class TestManifest:
         with pytest.raises(ValueError):
             read_manifest(str(manifest))
 
-
-def test_treebank_token_count_invariant_enforced():
-    with pytest.raises(ValueError):
-        Treebank("x", "xx", (), n_tokens=5, n_feature_keys=0)

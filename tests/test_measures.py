@@ -27,6 +27,7 @@ from synthdata import (
     make_sample,
     make_token,
     matched_corpora,
+    sample_forms,
     single_char_type_sample,
 )
 
@@ -39,22 +40,22 @@ def entropy_oracle(counts):
 
 class TestPluginEntropy:
     def test_single_type_is_zero(self):
-        assert plugin_entropy({"a": 1}) == 0.0
-        assert plugin_entropy({"a": 999}) == 0.0
+        assert plugin_entropy([1]) == 0.0
+        assert plugin_entropy([999]) == 0.0
 
     def test_uniform_over_four(self):
-        assert plugin_entropy({"a": 1, "b": 1, "c": 1, "d": 1}) == pytest.approx(2.0)
+        assert plugin_entropy([1, 1, 1, 1]) == pytest.approx(2.0)
 
     def test_three_one_split(self):
-        assert plugin_entropy({"a": 3, "b": 1}) == pytest.approx(0.811278, abs=1e-6)
+        assert plugin_entropy([3, 1]) == pytest.approx(0.811278, abs=1e-6)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            plugin_entropy({})
+            plugin_entropy([])
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
-            plugin_entropy({"a": 0})
+            plugin_entropy([0])
 
     @given(
         counts=st.dictionaries(
@@ -66,7 +67,7 @@ class TestPluginEntropy:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_and_bounds(self, counts):
-        h = plugin_entropy(counts)
+        h = plugin_entropy(list(counts.values()))
         assert h == pytest.approx(entropy_oracle(counts), abs=1e-9)
         assert 0.0 <= h <= math.log2(len(counts)) + 1e-9
 
@@ -268,7 +269,7 @@ class TestDistort:
     def test_length_preserved(self):
         sample = self.sample()
         rows = distort(sample, np.random.default_rng(0))
-        originals = [t.form for t in sample.tokens()]
+        originals = sample_forms(sample)
         replaced = [w for row in rows for w in row]
         assert [len(w) for w in replaced] == [len(w) for w in originals]
 
@@ -276,15 +277,15 @@ class TestDistort:
         sample = self.sample()
         rows = distort(sample, np.random.default_rng(0))
         mapping = {}
-        for tok, rep in zip(sample.tokens(), (w for row in rows for w in row)):
-            assert mapping.setdefault(tok.form, rep) == rep
+        for form, rep in zip(sample_forms(sample), (w for row in rows for w in row)):
+            assert mapping.setdefault(form, rep) == rep
 
     def test_injective(self):
         sample = self.sample()
         rows = distort(sample, np.random.default_rng(0))
         mapping = {}
-        for tok, rep in zip(sample.tokens(), (w for row in rows for w in row)):
-            mapping[tok.form] = rep
+        for form, rep in zip(sample_forms(sample), (w for row in rows for w in row)):
+            mapping[form] = rep
         assert len(set(mapping.values())) == len(mapping)
 
     def test_distorted_ttr_unchanged(self):
@@ -307,6 +308,16 @@ class TestDistort:
         rows = distort(sample, np.random.default_rng(0))
         flat = [w for row in rows for w in row]
         assert flat[0] != flat[1]
+
+    def test_retry_budget_exhaustion_falls_back_and_warns(self, caplog):
+        # "b" is drawn once in 2001 characters, so "a" keeps colliding with
+        # the "a" that the earlier type "b" drew.
+        sample = make_sample([[make_token("b")] + [make_token("a")] * 2000])
+        with caplog.at_level("WARNING", logger="morphcomplex.measures"):
+            rows = distort(sample, np.random.default_rng(0))
+        assert rows[0][:2] == ["a", "b"]
+        assert set(rows[0][1:]) == {"b"}
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["distort"]
 
 
 class TestWordStructure:

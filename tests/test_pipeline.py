@@ -193,3 +193,32 @@ def test_no_ridge_row_for_rounding_level_component(tmp_path):
     assert float(result.pca_result.explained_ratios.sum()) == pytest.approx(1.0, abs=1e-12)
     _, _, ridge = pipeline._read_tsv(str(tmp_path / "ridge.tsv"))
     assert [r[0] for r in ridge] == list(ALL_MEASURES) + [f"pc{k}" for k in range(1, 6)]
+
+
+def test_rerun_without_wals_removes_stale_outputs(tmp_path):
+    config = write_release(tmp_path)
+    assert cli.main(["run-all", "--config", config]) == 0
+    out = tmp_path / "out"
+    assert (out / "ridge.tsv").exists() and (out / "wals_error.svg").exists()
+    no_wals = tmp_path / "no_wals.cfg"
+    no_wals.write_text(
+        "".join(line for line in open(config, encoding="utf-8") if not line.startswith("wals")),
+        encoding="utf-8",
+    )
+    assert cli.main(["run-all", "--config", str(no_wals), "--seed", "8"]) == 0
+    assert not (out / "ridge.tsv").exists()
+    assert not (out / "wals_error.svg").exists()
+    assert (out / "pca.tsv").exists() and (out / "pca.svg").exists()
+    for name in os.listdir(out):
+        if name.endswith(".tsv"):
+            assert pipeline._read_tsv(str(out / name))[0]["seed"] == "8", name
+
+
+def test_plot_removes_figures_whose_tables_are_gone(release, tmp_path):
+    root, _, _, _ = release
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("measures.tsv", "treebanks.tsv", "pca.svg", "wals_error.svg"):
+        (out / name).write_bytes((root / "out" / name).read_bytes())
+    assert pipeline.run_plot(str(out)) == [str(out / "measures.svg")]
+    assert sorted(os.listdir(out)) == ["measures.svg", "measures.tsv", "treebanks.tsv"]

@@ -12,7 +12,7 @@ from morphcomplex.sampling import (
 from morphcomplex.conllu import Treebank
 from morphcomplex.measures import ttr
 
-from synthdata import make_token, make_treebank
+from synthdata import make_token, make_treebank, sample_forms, treebank_tokens
 
 
 def five_token_treebank():
@@ -24,14 +24,15 @@ def varied_treebank():
     return make_treebank("varied", "xx", sentences)
 
 
-def sample_forms(sample):
-    return [t.form for t in sample.tokens()]
+def sentence_forms(sample):
+    """Each drawn sentence of ``sample`` as a tuple of forms."""
+    return [tuple(row) for row in sample.rows(sample_forms(sample))]
 
 
 class TestBootstrapSample:
     def test_truncation_forced_by_single_sentence(self):
         sample = bootstrap_sample(five_token_treebank(), 12, np.random.default_rng(0))
-        assert [len(s) for s in sample.sentences] == [5, 5, 2]
+        assert [len(s) for s in sentence_forms(sample)] == [5, 5, 2]
         assert sample.n_tokens == 12
 
     def test_exact_token_budget(self):
@@ -39,7 +40,7 @@ class TestBootstrapSample:
         for target in (1, 2, 13, 50, 199):
             sample = bootstrap_sample(tb, target, np.random.default_rng(1))
             assert sample.n_tokens == target
-            assert sum(len(s) for s in sample.sentences) == target
+            assert sum(len(s) for s in sentence_forms(sample)) == target
 
     def test_same_seed_same_sample(self):
         tb = varied_treebank()
@@ -55,15 +56,16 @@ class TestBootstrapSample:
 
     def test_sentence_internal_order_preserved(self):
         tb = varied_treebank()
-        originals = {tuple(t.form for t in s.tokens) for s in tb.sentences}
+        originals = {tuple(t.form for t in s) for s in treebank_tokens(tb)}
         sample = bootstrap_sample(tb, 60, np.random.default_rng(2))
-        for sent in sample.sentences[:-1]:
-            assert tuple(t.form for t in sent.tokens) in originals
-        last = tuple(t.form for t in sample.sentences[-1].tokens)
+        *whole, last = sentence_forms(sample)
+        for sent in whole:
+            assert sent in originals
         assert any(orig[: len(last)] == last for orig in originals)
 
     def test_empty_treebank_rejected(self):
-        empty = Treebank("empty", "xx", (), 0, 0)
+        no_ids = np.zeros(0, dtype=np.int32)
+        empty = Treebank("empty", "xx", (), ("",), ((),), no_ids, no_ids, no_ids, no_ids)
         with pytest.raises(ValueError):
             bootstrap_sample(empty, 10, np.random.default_rng(0))
 
