@@ -68,16 +68,14 @@ def main(argv: list[str] | None = None) -> int:
     status = EXIT_OK
     try:
         if args.command in ("measure", "run-all"):
-            result = run_measure(config)
-            for outcome in result.outcomes:
-                if outcome.status != "ok":
-                    log.error("treebank %s failed: %s", outcome.treebank_id, outcome.error)
-            if result.n_failed:
+            outcomes = run_measure(config)
+            n_failed = sum(o.status == "failed" for o in outcomes)
+            if n_failed:
                 status = EXIT_PARTIAL
             log.info(
                 "measure stage: %d ok, %d failed; outputs in %s",
-                len(result.outcomes) - result.n_failed,
-                result.n_failed,
+                len(outcomes) - n_failed,
+                n_failed,
                 config.out_dir,
             )
         if args.command in ("analyze", "run-all"):

@@ -137,7 +137,8 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
 
 
 def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
-    with open(path, encoding="utf-8") as f:
+    # newline="": parse_conllu splits lines itself, so a lone "\r" stays inside its field.
+    with open(path, encoding="utf-8", newline="") as f:
         return parse_conllu(f.read(), id, language_code, lowercase=lowercase)
 
 
@@ -145,10 +146,12 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     """Read a manifest TSV of (treebank id, language code, conllu path).
 
     Blank lines and ``#`` comments are skipped; relative paths resolve
-    against the manifest's own directory.
+    against the manifest's own directory.  Every output keys its rows by
+    treebank id, so an id listed twice is rejected.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str, str]] = []
+    seen: dict[str, int] = {}  # treebank id -> its manifest line
     with open(path, encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -158,6 +161,11 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
             if len(cols) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated columns")
             tb_id, lang, tb_path = (c.strip() for c in cols)
+            if tb_id in seen:
+                raise ValueError(
+                    f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"
+                )
+            seen[tb_id] = line_no
             if not os.path.isabs(tb_path):
                 tb_path = os.path.join(base, tb_path)
             entries.append((tb_id, lang, tb_path))
@@ -176,34 +184,19 @@ class ExclusionConfig:
 
 @dataclass(frozen=True)
 class Exclusion:
-    treebank_id: str
     reason: str
     measures: tuple[str, ...]
 
 
-def apply_exclusions(
-    treebanks: list[Treebank], rules: ExclusionConfig
-) -> dict[str, tuple[Exclusion, ...]]:
-    """Exclusion records by treebank id, for the treebanks that have any.
+def apply_exclusions(treebank: Treebank, rules: ExclusionConfig) -> tuple[Exclusion, ...]:
+    """The exclusion records of one treebank, empty when no rule applies.
 
     Each record names a machine-readable reason and the affected measures;
     an excluded treebank remains eligible for all other measures.
     """
-    excluded: dict[str, tuple[Exclusion, ...]] = {}
-    for tb in treebanks:
-        reasons: list[Exclusion] = []
-        if tb.n_feature_keys < rules.min_feature_keys:
-            reasons.append(Exclusion(tb.id, REASON_NO_MORPH, FEATURE_MEASURES))
-        if tb.id in rules.script_excluded_ids:
-            reasons.append(Exclusion(tb.id, REASON_NON_ALPHABETIC, SCRIPT_MEASURES))
-        if reasons:
-            excluded[tb.id] = tuple(reasons)
-    return excluded
-
-
-def unavailable_measures(exclusions: tuple[Exclusion, ...]) -> frozenset[str]:
-    """Union of measure names an excluded treebank must not be scored on."""
-    out: set[str] = set()
-    for exc in exclusions:
-        out.update(exc.measures)
-    return frozenset(out)
+    reasons: list[Exclusion] = []
+    if treebank.n_feature_keys < rules.min_feature_keys:
+        reasons.append(Exclusion(REASON_NO_MORPH, FEATURE_MEASURES))
+    if treebank.id in rules.script_excluded_ids:
+        reasons.append(Exclusion(REASON_NON_ALPHABETIC, SCRIPT_MEASURES))
+    return tuple(reasons)

@@ -13,7 +13,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,14 +29,7 @@ from .analysis import (
     standardize,
 )
 from .config import RunConfig
-from .conllu import (
-    Exclusion,
-    Treebank,
-    apply_exclusions,
-    parse_conllu_file,
-    read_manifest,
-    unavailable_measures,
-)
+from .conllu import Exclusion, apply_exclusions, parse_conllu_file, read_manifest
 from .inflection import IAResult, cross_validate, extract_instances
 from .measures import ALL_MEASURES, COMPRESSOR_SETTING, sample_measure_functions
 from .sampling import MeasureStats, bootstrap_sample, inflection_rng, run_repetitions
@@ -136,102 +129,58 @@ class TreebankOutcome:
     error: str = ""
 
 
-@dataclass
-class MeasureRunResult:
-    outcomes: list[TreebankOutcome]
-    out_dir: str
-    seed: int
+def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutcome:
+    """Parse, exclude and score one manifest entry ``(id, language, path)``.
 
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "failed")
-
-
-def _measure_one(treebank: Treebank, excluded: frozenset[str], config: RunConfig) -> TreebankOutcome:
-    """Compute every requested measure for one treebank."""
-    outcome = TreebankOutcome(
-        treebank_id=treebank.id,
-        language_code=treebank.language_code,
-        status="ok",
-        n_sentences=len(treebank.sentences),
-        n_tokens=treebank.n_tokens,
-        n_feature_keys=treebank.n_feature_keys,
-    )
-    sample_names = [m for m in config.measures if m != "neg_ia" and m not in excluded]
-    if sample_names:
-        fns = sample_measure_functions(sample_names, is_count_values=config.is_count_values)
-        outcome.stats.update(run_repetitions(treebank, config.sample, fns))
-    if "neg_ia" in config.measures and "neg_ia" not in excluded:
-        rng = inflection_rng(config.sample.seed, treebank.id)
-        sample = bootstrap_sample(treebank, config.sample.target_tokens, rng)
-        instances = extract_instances(sample)
-        if len(instances) < config.ia_search.n_folds:
-            outcome.stats["neg_ia"] = MeasureStats(None, None, 1, 0)
-        else:
-            result = cross_validate(instances, config.ia_search, rng)
-            outcome.ia = result
-            outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1, 1)
+    Any exception becomes a ``failed`` outcome that keeps the counts and
+    exclusions known before it, so one treebank cannot stop the others.
+    """
+    tb_id, lang, path = entry
+    outcome = TreebankOutcome(treebank_id=tb_id, language_code=lang, status="ok")
+    try:
+        treebank = parse_conllu_file(path, tb_id, lang, lowercase=config.lowercase)
+        outcome.n_sentences = len(treebank.sentences)
+        outcome.n_tokens = treebank.n_tokens
+        outcome.n_feature_keys = treebank.n_feature_keys
+        outcome.exclusions = apply_exclusions(treebank, config.exclusions)
+        excluded = {m for e in outcome.exclusions for m in e.measures}
+        sample_names = [m for m in config.measures if m != "neg_ia" and m not in excluded]
+        if sample_names:
+            fns = sample_measure_functions(sample_names, is_count_values=config.is_count_values)
+            outcome.stats.update(run_repetitions(treebank, config.sample, fns))
+        if "neg_ia" in config.measures and "neg_ia" not in excluded:
+            rng = inflection_rng(config.sample.seed, tb_id)
+            sample = bootstrap_sample(treebank, config.sample.target_tokens, rng)
+            instances = extract_instances(sample)
+            if len(instances) < config.ia_search.n_folds:
+                outcome.stats["neg_ia"] = MeasureStats(None, None, 1, 0)
+            else:
+                result = cross_validate(instances, config.ia_search, rng)
+                outcome.ia = result
+                outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1, 1)
+    except Exception as exc:  # isolate per-treebank failures
+        log.error("treebank %s (%s) failed: %s", tb_id, path, exc)
+        return replace(outcome, status="failed", stats={}, ia=None, error=str(exc))
     return outcome
 
 
-def _measure_task(payload: tuple[Treebank, frozenset[str], RunConfig]) -> TreebankOutcome:
-    treebank, excluded, config = payload
-    try:
-        return _measure_one(treebank, excluded, config)
-    except Exception as exc:  # isolate per-treebank failures
-        log.error("measure stage failed for %s: %s", treebank.id, exc)
-        return TreebankOutcome(
-            treebank_id=treebank.id,
-            language_code=treebank.language_code,
-            status="failed",
-            n_sentences=len(treebank.sentences),
-            n_tokens=treebank.n_tokens,
-            n_feature_keys=treebank.n_feature_keys,
-            error=str(exc),
-        )
+def run_measure(config: RunConfig) -> list[TreebankOutcome]:
+    """Parse, exclude, sample and score every treebank in the manifest.
 
-
-def run_measure(config: RunConfig) -> MeasureRunResult:
-    """Ingest, exclude, sample and score every treebank in the manifest.
-
-    Failures are isolated per treebank; the run continues and reports them
-    in ``treebanks.tsv``.
+    Each manifest entry is one task, run in a worker when ``jobs > 1``.
+    Outcomes come back in manifest order; failures stay with their
+    treebank and are reported in ``treebanks.tsv``.
     """
     config.validate_paths()
     os.makedirs(config.out_dir, exist_ok=True)
     entries = read_manifest(config.manifest)
-
-    treebanks: list[Treebank] = []
-    failures: list[TreebankOutcome] = []
-    for tb_id, lang, path in entries:
-        try:
-            treebanks.append(parse_conllu_file(path, tb_id, lang, lowercase=config.lowercase))
-        except Exception as exc:
-            log.error("failed to parse %s (%s): %s", tb_id, path, exc)
-            failures.append(
-                TreebankOutcome(treebank_id=tb_id, language_code=lang, status="failed", error=str(exc))
-            )
-
-    excl_by_id = apply_exclusions(treebanks, config.exclusions)
-
-    payloads = [
-        (tb, unavailable_measures(excl_by_id.get(tb.id, ())), config) for tb in treebanks
-    ]
-    if config.jobs > 1 and len(payloads) > 1:
+    if config.jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_measure_task, payloads))
+            outcomes = list(pool.map(_measure_one, entries, [config] * len(entries)))
     else:
-        outcomes = [_measure_task(p) for p in payloads]
-    for outcome in outcomes:
-        outcome.exclusions = excl_by_id.get(outcome.treebank_id, ())
-
-    by_id = {o.treebank_id: o for o in outcomes}
-    by_id.update({o.treebank_id: o for o in failures})
-    ordered = [by_id[tb_id] for tb_id, _, _ in entries]
-
-    result = MeasureRunResult(ordered, config.out_dir, config.sample.seed)
-    _write_measure_outputs(result, config)
-    return result
+        outcomes = [_measure_one(entry, config) for entry in entries]
+    _write_measure_outputs(outcomes, config)
+    return outcomes
 
 
 def _exclusions_cell(exclusions: tuple[Exclusion, ...]) -> str:
@@ -240,7 +189,7 @@ def _exclusions_cell(exclusions: tuple[Exclusion, ...]) -> str:
     return ";".join(f"{e.reason}:{'+'.join(e.measures)}" for e in exclusions)
 
 
-def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
+def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
     meta = {
         "generator": "morphcomplex",
         "seed": config.sample.seed,
@@ -249,7 +198,7 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
         "compressor": COMPRESSOR_SETTING,
     }
     rows: list[list[str]] = []
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         if outcome.status != "ok":
             continue
         for measure in config.measures:
@@ -268,7 +217,7 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
                     ]
                 )
     _write_tsv(
-        os.path.join(result.out_dir, MEASURES_TSV),
+        os.path.join(config.out_dir, MEASURES_TSV),
         meta,
         ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"],
         rows,
@@ -285,10 +234,10 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
             _exclusions_cell(o.exclusions),
             o.error.replace("\t", " ").replace("\n", " ") or "-",
         ]
-        for o in result.outcomes
+        for o in outcomes
     ]
     _write_tsv(
-        os.path.join(result.out_dir, TREEBANKS_TSV),
+        os.path.join(config.out_dir, TREEBANKS_TSV),
         {"generator": "morphcomplex", "seed": config.sample.seed},
         [
             "treebank_id", "language_code", "status", "n_sentences",
@@ -305,11 +254,11 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
             "fold_accuracies": list(o.ia.fold_accuracies),
             "n_draws": o.ia.n_draws,
         }
-        for o in result.outcomes
+        for o in outcomes
         if o.ia is not None
     }
     _write_json(
-        os.path.join(result.out_dir, IA_PARAMS_JSON),
+        os.path.join(config.out_dir, IA_PARAMS_JSON),
         {"seed": config.sample.seed, "treebanks": ia_params},
     )
 
@@ -332,7 +281,7 @@ def _write_measure_outputs(result: MeasureRunResult, config: RunConfig):
         },
         "wals_rows": config.wals_rows,
     }
-    _write_json(os.path.join(result.out_dir, RUN_META_JSON), run_meta)
+    _write_json(os.path.join(config.out_dir, RUN_META_JSON), run_meta)
 
 
 def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], int]:

@@ -9,7 +9,6 @@ from morphcomplex.conllu import (
     parse_conllu,
     parse_conllu_file,
     read_manifest,
-    unavailable_measures,
 )
 
 import reference
@@ -117,6 +116,13 @@ class TestParse:
         with pytest.raises(ConlluParseError):
             parse_conllu("x\ta\ta\tX\t_\t_\t_\t_\t_\t_\n", "x", "xx")
 
+    def test_lone_carriage_return_stays_in_file_field(self, tmp_path):
+        path = tmp_path / "cr.conllu"
+        path.write_bytes((token_line(1, "a\rb", "a") + "\r\n").encode("utf-8"))
+        tb = parse_conllu_file(str(path), "x", "xx")
+        assert tb.forms == ("a\rb",)
+        assert tb.n_tokens == 1
+
     def test_utf8_bom_file_accepted(self, tmp_path):
         path = tmp_path / "bom.conllu"
         path.write_bytes(b"\xef\xbb\xbf" + SIMPLE.encode("utf-8"))
@@ -216,37 +222,30 @@ def featureless_treebank(tb_id, n_keys):
 class TestExclusions:
     def test_threshold_rule(self):
         tb = featureless_treebank("ja_x", 2)
-        excluded = apply_exclusions([tb], ExclusionConfig(min_feature_keys=3))
-        [(excl_id, reasons)] = excluded.items()
-        assert excl_id == "ja_x"
-        assert reasons[0].reason == "no-morph-features"
-        assert set(reasons[0].measures) == {"is", "mfh", "neg_ia"}
+        [reason] = apply_exclusions(tb, ExclusionConfig(min_feature_keys=3))
+        assert reason.reason == "no-morph-features"
+        assert set(reason.measures) == {"is", "mfh", "neg_ia"}
 
     def test_rich_treebank_kept(self):
         tb = featureless_treebank("fi_x", 29)
-        assert apply_exclusions([tb], ExclusionConfig()) == {}
+        assert apply_exclusions(tb, ExclusionConfig()) == ()
 
     def test_deny_list_hits_ws_only(self):
         tb = featureless_treebank("zh_gsd", 10)
-        excluded = apply_exclusions(
-            [tb], ExclusionConfig(script_excluded_ids=frozenset({"zh_gsd"}))
-        )
-        [reasons] = excluded.values()
+        reasons = apply_exclusions(tb, ExclusionConfig(script_excluded_ids=frozenset({"zh_gsd"})))
         assert len(reasons) == 1
         assert reasons[0].reason == "non-alphabetic-script"
         assert reasons[0].measures == ("ws",)
-        assert unavailable_measures(reasons) == {"ws"}
 
     def test_partition(self):
         tbs = [featureless_treebank(f"t{i}", i) for i in range(6)]
-        excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
-        assert list(excluded) == ["t0", "t1", "t2"]
-        assert all(reasons for reasons in excluded.values())
+        rules = ExclusionConfig(min_feature_keys=3)
+        assert [bool(apply_exclusions(tb, rules)) for tb in tbs] == [True] * 3 + [False] * 3
 
     def test_empty_kept_is_allowed(self):
         tbs = [featureless_treebank("a_x", 0), featureless_treebank("b_x", 1)]
-        excluded = apply_exclusions(tbs, ExclusionConfig(min_feature_keys=3))
-        assert list(excluded) == ["a_x", "b_x"]
+        rules = ExclusionConfig(min_feature_keys=3)
+        assert all(apply_exclusions(tb, rules) for tb in tbs)
 
 
 class TestManifest:

@@ -1,12 +1,13 @@
 """End-to-end runs of the command line over a small synthetic release."""
 
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
-from morphcomplex import cli, pipeline
+from morphcomplex import cli, measures, pipeline
 from morphcomplex.config import RunConfig
 from morphcomplex.measures import ALL_MEASURES
 from morphcomplex.wals import MORPHOLOGY_FEATURES
@@ -135,11 +136,16 @@ def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
         pipeline.read_measure_matrix(str(out))
 
 
+def assert_same_outputs(out, other):
+    assert sorted(os.listdir(other)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert (other / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def test_jobs_do_not_change_outputs(release):
     root, config, _, _ = release
     assert cli.main(["run-all", "--config", config, "--jobs", "2", "--out", str(root / "out2")]) == 0
-    for name in os.listdir(root / "out"):
-        assert (root / "out2" / name).read_bytes() == (root / "out" / name).read_bytes(), name
+    assert_same_outputs(root / "out", root / "out2")
 
 
 def test_neg_ia_pinned(release):
@@ -222,3 +228,121 @@ def test_plot_removes_figures_whose_tables_are_gone(release, tmp_path):
         (out / name).write_bytes((root / "out" / name).read_bytes())
     assert pipeline.run_plot(str(out)) == [str(out / "measures.svg")]
     assert sorted(os.listdir(out)) == ["measures.svg", "measures.tsv", "treebanks.tsv"]
+
+
+def write_failure_release(root):
+    """Treebanks that take every per-treebank path of the measure stage.
+
+    ``few`` has two feature keys, ``zh`` is listed in ``script_exclude``,
+    ``bad`` is malformed on line 2 and ``boom`` has a measure that raises
+    (see ``failing_msp``).  Returns the config path.
+    """
+    n_keys = {"ok0": 3, "few": 2, "bad": 0, "zh": 4, "boom": 3, "ok1": 5}
+    manifest = []
+    for i, (tb_id, keys) in enumerate(n_keys.items()):
+        path = root / f"{tb_id}.conllu"
+        if tb_id == "bad":
+            path.write_text("# sent_id = 1\n1\tonly-two\n", encoding="utf-8")
+        else:
+            sentences = suffixing_sentences(
+                seed=i, n_lemmas=25, n_cells=4, n_keys=keys, n_tokens=400
+            )
+            path.write_text(conllu_text(sentences), encoding="utf-8")
+        manifest.append(f"{tb_id}\tl{i}\t{path.name}")
+    (root / "manifest.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    config = root / "run.cfg"
+    config.write_text(
+        "manifest = manifest.tsv\nout = out\nscript_exclude = zh\n"
+        "target_tokens = 200\nrepetitions = 2\nseed = 7\nia_draws = 1\n",
+        encoding="utf-8",
+    )
+    return str(config)
+
+
+original_msp = measures.msp
+
+
+def failing_msp(sample):
+    if sample.treebank.id == "boom":
+        raise ValueError("msp broke")
+    return original_msp(sample)
+
+
+@pytest.fixture(scope="module")
+def failure_release(tmp_path_factory):
+    """``run-all`` over ``write_failure_release`` at ``--jobs 1`` and ``--jobs 2``.
+
+    Pool workers are forked from this process, so they see the patched ``msp``.
+    """
+    root = tmp_path_factory.mktemp("failures")
+    config = write_failure_release(root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "msp", failing_msp)
+        codes = [
+            cli.main(["run-all", "--config", config, "--jobs", str(jobs), "--out", str(root / out)])
+            for jobs, out in ((1, "out"), (2, "out2"))
+        ]
+    return root, config, codes
+
+
+def test_failures_stay_with_their_treebank(failure_release):
+    root, _, codes = failure_release
+    assert codes == [2, 2]
+    meta, _, rows = pipeline._read_tsv(str(root / "out" / "treebanks.tsv"))
+    assert meta["seed"] == "7"
+    assert [(r[0], r[2], r[6], r[7]) for r in rows] == [
+        ("ok0", "ok", "-", "-"),
+        ("few", "ok", "no-morph-features:is+mfh+neg_ia", "-"),
+        ("bad", "failed", "-", "line 2: expected 10 columns, got 2"),
+        ("zh", "ok", "non-alphabetic-script:ws", "-"),
+        ("boom", "failed", "-", "measure 'msp' failed on repetition 0 of boom: msp broke"),
+        ("ok1", "ok", "-", "-"),
+    ]
+    counts = {r[0]: [int(c) for c in r[3:6]] for r in rows}
+    assert counts["bad"] == [0, 0, 0]
+    assert counts["boom"] == [50, 400, 3]
+    assert counts["few"][2] == 2
+
+
+def test_excluded_measures_are_na(failure_release):
+    root, _, _ = failure_release
+    meta, _, rows = pipeline._read_tsv(str(root / "out" / "measures.tsv"))
+    assert meta["seed"] == "7"
+    assert [r[0] for r in rows[:: len(ALL_MEASURES)]] == ["ok0", "few", "zh", "ok1"]
+    unavailable = {(r[0], r[1]) for r in rows if r[5] == "false"}
+    assert unavailable == {("few", "is"), ("few", "mfh"), ("few", "neg_ia"), ("zh", "ws")}
+    for row in rows:
+        if (row[0], row[1]) in unavailable:
+            assert row[2:] == ["NA", "NA", "0", "false"]
+    ia = json.loads((root / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]
+    assert sorted(ia) == ["ok0", "ok1", "zh"]
+
+
+def test_failures_do_not_depend_on_jobs(failure_release):
+    root, _, _ = failure_release
+    assert_same_outputs(root / "out", root / "out2")
+
+
+def test_each_failure_logged_once(failure_release, tmp_path, monkeypatch, caplog):
+    root, config, _ = failure_release
+    monkeypatch.setattr(measures, "msp", failing_msp)
+    with caplog.at_level(logging.INFO):
+        assert cli.main(["run-all", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 2
+    assert "bad" in errors[0] and str(root / "bad.conllu") in errors[0]
+    assert "line 2: expected 10 columns, got 2" in errors[0]
+    assert "boom" in errors[1] and "msp broke" in errors[1]
+
+
+def test_duplicate_treebank_id_rejected(tmp_path, caplog):
+    config = write_release(tmp_path)
+    manifest = tmp_path / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].replace("tb3\t", "tb1\t")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["run-all", "--config", config]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert str(manifest) in message and "'tb1'" in message
+    assert "line 2" in message and "line 4" in message
+    assert not (tmp_path / "out" / "measures.tsv").exists()
