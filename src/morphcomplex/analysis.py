@@ -63,10 +63,12 @@ class PcaResult:
 
 @dataclass(frozen=True)
 class RidgeReport:
-    rmse: float
-    error_reduction: float
-    predictions: tuple[float, ...]
-    chosen_alphas: tuple[float, ...]
+    """Nested leave-one-out results; the last axis of each array is the target."""
+
+    rmse: np.ndarray             # targets
+    error_reduction: np.ndarray  # targets
+    predictions: np.ndarray      # rows x targets
+    chosen_alphas: np.ndarray    # rows x targets
     alpha_grid: tuple[float, ...]
 
 
@@ -204,36 +206,40 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
 
 def ridge_loocv(
     design: DesignMatrix | np.ndarray,
-    target: Sequence[float],
+    targets: np.ndarray | Sequence[float],
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> RidgeReport:
-    """Nested leave-one-out evaluation of ridge regression.
+    """Nested leave-one-out evaluation of ridge regression on each target.
 
-    For each held-out row the penalty is chosen by an inner leave-one-out
-    over the remaining rows (ties go to the earlier grid entry), the model
-    is refit without the held-out row and used to predict it.  The report
-    carries the outer RMSE and error_reduction = 1 - RMSE, the gain over a
-    random baseline whose expected RMSE on a standardized target is 1.
+    ``targets`` is rows x targets; a 1-d target is one column.  For each
+    held-out row and each target the penalty is chosen by an inner
+    leave-one-out over the remaining rows (ties go to the earlier grid
+    entry), the model is refit without the held-out row and used to predict
+    it.  The report carries, per target, the outer RMSE and
+    error_reduction = 1 - RMSE, the gain over a random baseline whose
+    expected RMSE on a standardized target is 1.
 
     The intercept is not penalized.  Its normal equation gives
     intercept = mean(y) - mean(x) . coef for any coef, and substituting
     that leaves plain ridge on the column-centered training rows, so
     centering fits the intercept exactly.  One thin SVD of the centered
-    training design, Xc = U S V^T, then serves every alpha in the grid
-    (Hastie, Tibshirani & Friedman, The Elements of Statistical Learning,
-    section 3.4.1).  With m training rows and shrink factors
-    d = s^2 / (s^2 + alpha):
+    training design, Xc = U S V^T, then serves every alpha in the grid and
+    every target column (Hastie, Tibshirani & Friedman, The Elements of
+    Statistical Learning, section 3.4.1).  With m training rows and shrink
+    factors d = s^2 / (s^2 + alpha):
 
     - fitted values: yhat = mean(y) + U (d * U^T yc)
-    - leverages: h = 1/m + (U * U) d
+    - leverages: h = 1/m + (U * U) d, the same for every target
     - inner LOO residuals: e = (y - yhat) / (1 - h); an alpha with
       |1 - h| <= 1e-12 on any row scores infinity and is not chosen (if
       no alpha scores finite, the last one is used)
     - coefficients at the chosen alpha: coef = V (s / (s^2 + alpha) * U^T yc)
     """
     x = design.matrix if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or len(y) != x.shape[0]:
+    y = np.asarray(targets, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if x.ndim != 2 or y.ndim != 2 or len(y) != x.shape[0]:
         raise ValueError("design and target shapes do not match")
     n = len(y)
     if n < 3:
@@ -241,38 +247,38 @@ def ridge_loocv(
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
 
-    alphas = np.asarray(alpha_grid, dtype=float)[:, None]
-    predictions = np.empty(n)
-    chosen = np.empty(n)
+    grid = np.asarray(alpha_grid, dtype=float)
+    predictions = np.empty(y.shape)
+    chosen = np.empty(y.shape)
     index = np.arange(n)
     for i in range(n):
         rest = index != i
-        x_mean, y_mean = x[rest].mean(axis=0), y[rest].mean()
+        x_mean, y_mean = x[rest].mean(axis=0), y[rest].mean(axis=0)
         u, s, vt = np.linalg.svd(x[rest] - x_mean, full_matrices=False)
         # Directions with a zero singular value fit nothing at any alpha;
         # dropping them keeps alpha = 0 from dividing zero by zero.
         keep = s > s.max(initial=0.0) * max(x.shape) * np.finfo(float).eps
         u, s, vt = u[:, keep], s[keep], vt[keep]
         yc = y[rest] - y_mean
-        uty = u.T @ yc
-        shrink = s**2 / (s**2 + alphas)  # grid x rank
-        resid = yc - (shrink * uty) @ u.T  # grid x training rows
-        one_minus_h = 1.0 - 1.0 / (n - 1) - shrink @ (u**2).T
+        uty = u.T @ yc  # rank x targets
+        shrink = s**2 / (s**2 + grid[:, None])  # grid x rank
+        resid = yc - u @ (shrink[:, :, None] * uty)  # grid x training rows x targets
+        one_minus_h = (1.0 - 1.0 / (n - 1) - shrink @ (u**2).T)[:, :, None]
         loo = np.divide(
             resid, one_minus_h, out=np.full_like(resid, np.inf), where=np.abs(one_minus_h) > 1e-12
         )
-        finite = np.isfinite(loo).all(axis=1)
+        finite = np.isfinite(loo).all(axis=1)  # grid x targets
         scores = np.where(finite, np.sqrt(np.mean(loo**2, axis=1)), np.inf)
-        best = int(np.argmin(scores)) if finite.any() else len(alpha_grid) - 1
-        coef = vt.T @ (s / (s**2 + alphas[best]) * uty)
+        best = np.where(finite.any(axis=0), np.argmin(scores, axis=0), len(grid) - 1)
+        coef = vt.T @ (s[:, None] / (s[:, None] ** 2 + grid[best]) * uty)  # columns x targets
         intercept = y_mean - x_mean @ coef
-        predictions[i] = float(x[i] @ coef + intercept)
-        chosen[i] = alpha_grid[best]
-    rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
+        predictions[i] = x[i] @ coef + intercept
+        chosen[i] = grid[best]
+    rmse = np.sqrt(np.mean((y - predictions) ** 2, axis=0))
     return RidgeReport(
         rmse=rmse,
         error_reduction=1.0 - rmse,
-        predictions=tuple(float(v) for v in predictions),
-        chosen_alphas=tuple(float(a) for a in chosen),
+        predictions=predictions,
+        chosen_alphas=chosen,
         alpha_grid=tuple(float(a) for a in alpha_grid),
     )

@@ -159,7 +159,8 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
                 outcome.ia = result
                 outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1, 1)
     except Exception as exc:  # isolate per-treebank failures
-        log.error("treebank %s (%s) failed: %s", tb_id, path, exc)
+        debug = log.isEnabledFor(logging.DEBUG)
+        log.error("treebank %s (%s) failed: %s", tb_id, path, exc, exc_info=debug)
         return replace(outcome, status="failed", stats={}, ia=None, error=str(exc))
     return outcome
 
@@ -172,8 +173,8 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     treebank and are reported in ``treebanks.tsv``.
     """
     config.validate_paths()
-    os.makedirs(config.out_dir, exist_ok=True)
     entries = read_manifest(config.manifest)
+    os.makedirs(config.out_dir, exist_ok=True)
     if config.jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_measure_one, entries, [config] * len(entries)))
@@ -324,32 +325,13 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
 class AnalyzeResult:
     correlations: dict[str, CorrelationMatrix]
     pca_result: PcaResult | None
-    pca_rows: tuple[str, ...]
-    ridge_rows: list[dict[str, object]]
+    ridge_rows: list[list[str]]
     errors: dict[str, str]
-    out_dir: str
-
-
-def _ridge_targets(
-    matrix: MeasureMatrix,
-    pca_result: PcaResult | None,
-    pca_rows: tuple[str, ...],
-) -> list[tuple[str, list[str], np.ndarray]]:
-    """Yield (target name, row treebank ids, raw target values)."""
-    targets: list[tuple[str, list[str], np.ndarray]] = []
-    for j, measure in enumerate(matrix.measures):
-        mask = matrix.available()[:, j]
-        ids = [tb for tb, ok in zip(matrix.treebank_ids, mask) if ok]
-        targets.append((measure, ids, matrix.values[mask, j]))
-    if pca_result is not None:
-        for k in range(pca_result.scores.shape[1]):
-            targets.append((f"pc{k + 1}", list(pca_rows), pca_result.scores[:, k]))
-    return targets
 
 
 def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
     """Correlations, PCA and WALS ridge regression over the measure TSV."""
-    from .wals import encode, load_wals
+    from .wals import encode, load_wals, match_rows
 
     matrix, languages, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, PCA_TSV, PCA_SCORES_TSV, RIDGE_TSV)
@@ -381,22 +363,20 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
     )
 
     pca_result: PcaResult | None = None
-    pca_rows: tuple[str, ...] = ()
     complete = matrix.complete_rows()
     if int(complete.sum()) >= 2:
         try:
             z, _, _ = standardize(matrix.values[complete], matrix.measures)
             orient = matrix.measures.index("ttr") if "ttr" in matrix.measures else 0
             pca_result = pca(z, orient_column=orient)
-            pca_rows = tuple(
-                tb for tb, ok in zip(matrix.treebank_ids, complete) if ok
-            )
         except ValueError as exc:
             errors["pca"] = str(exc)
     else:
         errors["pca"] = (
             f"only {int(complete.sum())} treebanks have all of {matrix.measures}; need >= 2"
         )
+    targets = matrix.values
+    target_names = list(matrix.measures)
     if pca_result is not None:
         loading_header = ["component", "explained_ratio"] + [
             f"loading:{m}" for m in matrix.measures
@@ -407,86 +387,65 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
             for k in range(pca_result.loadings.shape[0])
         ]
         _write_tsv(os.path.join(out_dir, PCA_TSV), meta, loading_header, loading_rows)
-        score_header = ["treebank_id"] + [
-            f"pc{k + 1}" for k in range(pca_result.scores.shape[1])
-        ]
+        pc_names = [f"pc{k + 1}" for k in range(pca_result.scores.shape[1])]
         score_rows = [
-            [tb] + [_fmt(float(v)) for v in pca_result.scores[i]]
-            for i, tb in enumerate(pca_rows)
+            [tb] + [_fmt(float(v)) for v in scores]
+            for tb, scores in zip(np.array(matrix.treebank_ids)[complete], pca_result.scores)
         ]
-        _write_tsv(os.path.join(out_dir, PCA_SCORES_TSV), meta, score_header, score_rows)
+        scores_path = os.path.join(out_dir, PCA_SCORES_TSV)
+        _write_tsv(scores_path, meta, ["treebank_id", *pc_names], score_rows)
+        # Ridge targets are columns over every treebank, NaN where a target has no value.
+        pc_columns = np.full((len(complete), len(pc_names)), math.nan)
+        pc_columns[complete] = pca_result.scores
+        targets = np.hstack([targets, pc_columns])
+        target_names += pc_names
 
-    ridge_rows: list[dict[str, object]] = []
+    ridge_rows: list[list[str]] = []
     if config.wals_csv is not None:
-        from .wals import WalsRecord
-
         with open(config.wals_csv, encoding="utf-8") as f:
             records = load_wals(f.read())
-        # Casefold codes once so manifest and WALS export cannot disagree on
-        # letter case; one fixed record list keeps columns identical for
-        # every regression target.
-        records = [WalsRecord(r.language_code.casefold(), r.values) for r in records]
-        known_codes = {r.language_code for r in records}
-        for name, row_ids, raw in _ridge_targets(matrix, pca_result, pca_rows):
+        # Targets over the same languages share one design and one ridge fit.
+        row_sets: dict[tuple[str, ...], list[tuple[str, np.ndarray]]] = {}
+        tb_codes = np.array([languages.get(tb, "") for tb in matrix.treebank_ids])
+        for name, column in zip(target_names, targets.T):
+            rows = ~np.isnan(column)
             try:
-                codes = [languages.get(tb, "").casefold() for tb in row_ids]
-                keep = [i for i, c in enumerate(codes) if c in known_codes]
-                if len(keep) < 3:
-                    raise ValueError(f"only {len(keep)} rows matched WALS languages")
-                kept_codes = [codes[i] for i in keep]
-                kept_values = np.asarray([raw[i] for i in keep], dtype=float)
-                if config.wals_rows == "per-language":
-                    grouped: dict[str, list[float]] = {}
-                    for code, value in zip(kept_codes, kept_values):
-                        grouped.setdefault(code, []).append(float(value))
-                    kept_codes = sorted(grouped)
-                    kept_values = np.asarray([np.mean(grouped[c]) for c in kept_codes])
-                    if len(kept_codes) < 3:
-                        raise ValueError(
-                            f"only {len(kept_codes)} languages matched WALS languages"
-                        )
-                design = encode(records, kept_codes)
-                target, _, _ = standardize(kept_values, [name])
-                report = ridge_loocv(design, target[:, 0])
-                ridge_rows.append(
-                    {
-                        "target": name,
-                        "n_rows": len(kept_codes),
-                        "rmse": report.rmse,
-                        "error_reduction": report.error_reduction,
-                        "chosen_alphas": report.chosen_alphas,
-                    }
+                codes, values = match_rows(
+                    records, tb_codes[rows], column[rows], config.wals_rows == "per-language"
                 )
+                target, _, _ = standardize(values, [name])
             except ValueError as exc:
                 errors[f"ridge:{name}"] = str(exc)
-        _write_tsv(
-            os.path.join(out_dir, RIDGE_TSV),
-            meta,
-            ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"],
-            [
-                [
-                    str(r["target"]),
-                    str(r["n_rows"]),
-                    _fmt(float(r["rmse"])),
-                    _fmt(float(r["error_reduction"])),
-                    ";".join(_fmt(a) for a in r["chosen_alphas"]),
-                ]
-                for r in ridge_rows
-            ],
-        )
+                continue
+            row_sets.setdefault(codes, []).append((name, target[:, 0]))
+        for codes, columns in row_sets.items():
+            report = ridge_loocv(encode(records, codes), np.column_stack([t for _, t in columns]))
+            for k, (name, _) in enumerate(columns):
+                ridge_rows.append(
+                    [
+                        name,
+                        str(len(codes)),
+                        _fmt(float(report.rmse[k])),
+                        _fmt(float(report.error_reduction[k])),
+                        ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
+                    ]
+                )
+        ridge_rows.sort(key=lambda row: target_names.index(row[0]))
+        ridge_header = ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"]
+        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ridge_rows)
 
     _write_json(
         os.path.join(out_dir, ANALYZE_META_JSON),
         {
             "seed": seed,
             "errors": errors,
-            "n_pca_rows": len(pca_rows),
+            "n_pca_rows": 0 if pca_result is None else len(pca_result.scores),
             "wals_rows": config.wals_rows,
         },
     )
     for name, message in errors.items():
         log.warning("analysis %s skipped: %s", name, message)
-    return AnalyzeResult(correlations, pca_result, pca_rows, ridge_rows, errors, out_dir)
+    return AnalyzeResult(correlations, pca_result, ridge_rows, errors)
 
 
 def run_plot(out_dir: str) -> list[str]:

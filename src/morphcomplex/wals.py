@@ -101,6 +101,37 @@ def load_wals(
     return records
 
 
+def match_rows(
+    records: Sequence[WalsRecord],
+    codes: Sequence[str],
+    values: np.ndarray,
+    per_language: bool,
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The regression rows of one target: its values whose language has a record.
+
+    ``codes[i]`` is the language of ``values[i]``.  Codes are compared and
+    returned casefolded, so a manifest and a WALS export may disagree on
+    letter case.  With ``per_language`` the rows of each language become
+    one row holding their mean, in sorted code order.  Raises
+    ``ValueError`` when fewer than 3 rows (or languages) remain.
+    """
+    known = {rec.language_code.casefold() for rec in records}
+    folded = [code.casefold() for code in codes]
+    keep = [i for i, code in enumerate(folded) if code in known]
+    if len(keep) < 3:
+        raise ValueError(f"only {len(keep)} rows matched WALS languages")
+    kept_codes = tuple(folded[i] for i in keep)
+    kept_values = np.asarray(values, dtype=float)[keep]
+    if not per_language:
+        return kept_codes, kept_values
+    languages = sorted(set(kept_codes))
+    if len(languages) < 3:
+        raise ValueError(f"only {len(languages)} languages matched WALS languages")
+    row_codes = np.array(kept_codes)
+    means = np.array([kept_values[row_codes == code].mean() for code in languages])
+    return tuple(languages), means
+
+
 def encode(
     records: Sequence[WalsRecord],
     languages: Sequence[str],
@@ -111,14 +142,15 @@ def encode(
     Each feature contributes one indicator per category observed anywhere
     in ``records`` plus a dedicated missing indicator, so every row sums to
     exactly 1 within each feature's block.  Languages without a record get
-    all-missing rows.  Column order is fixed: feature-list order, then
+    all-missing rows.  Codes are compared casefolded, and the first record
+    of a code wins.  Column order is fixed: feature-list order, then
     category lexicographic, missing last.
     """
     if not languages:
         raise ValueError("languages must be nonempty")
     by_code: dict[str, WalsRecord] = {}
     for rec in records:
-        by_code.setdefault(rec.language_code, rec)
+        by_code.setdefault(rec.language_code.casefold(), rec)
 
     categories: dict[str, list[str]] = {}
     for fid in feature_list:
@@ -134,7 +166,7 @@ def encode(
 
     matrix = np.zeros((len(languages), len(column_names)))
     for r, code in enumerate(languages):
-        rec = by_code.get(code)
+        rec = by_code.get(code.casefold())
         for fid in feature_list:
             value = rec.values.get(fid) if rec is not None else None
             cat = value if value is not None else MISSING_CATEGORY

@@ -385,9 +385,9 @@ def one_hot_design(rng, n, blocks=(3, 2, 4)):
 def assert_matches_reference(x, y, alpha_grid=DEFAULT_ALPHA_GRID, **reference_kwargs):
     chosen, predictions, rmse = nested_loo_reference(x, y, alpha_grid, **reference_kwargs)
     report = ridge_loocv(x, y, alpha_grid=alpha_grid)
-    assert report.chosen_alphas == chosen
-    np.testing.assert_allclose(report.predictions, predictions, rtol=0, atol=1e-9)
-    assert report.rmse == pytest.approx(rmse, rel=0, abs=1e-9)
+    assert tuple(report.chosen_alphas[:, 0]) == chosen
+    np.testing.assert_allclose(report.predictions[:, 0], predictions, rtol=0, atol=1e-9)
+    assert report.rmse[0] == pytest.approx(rmse, rel=0, abs=1e-9)
 
 
 class TestRidge:
@@ -445,14 +445,14 @@ class TestRidge:
         y = rng.normal(size=6)
         grid = (0.0, 1e-300)
         assert_matches_reference(x, y, grid)
-        assert ridge_loocv(x, y, alpha_grid=grid).chosen_alphas == (1e-300,) * 6
+        assert ridge_loocv(x, y, alpha_grid=grid).chosen_alphas[:, 0].tolist() == [1e-300] * 6
 
     def test_huge_alpha_predicts_training_mean(self):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         report = ridge_loocv(x, y, alpha_grid=[1e12])
-        for i, prediction in enumerate(report.predictions):
+        for i, prediction in enumerate(report.predictions[:, 0]):
             fold_mean = float(np.mean(np.delete(y, i)))
             assert prediction == pytest.approx(fold_mean, abs=1e-6)
 
@@ -462,7 +462,7 @@ class TestRidge:
         x = np.zeros((4, 2))
         report = ridge_loocv(x, y, alpha_grid=[1e6])
         np.testing.assert_allclose(report.predictions, 10.0)
-        assert report.rmse == pytest.approx(0.0, abs=1e-9)
+        assert report.rmse[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_target_gives_high_error_reduction(self):
         rng = np.random.default_rng(17)
@@ -470,18 +470,38 @@ class TestRidge:
         weights = rng.normal(size=x.shape[1])
         target = x @ weights
         target, _, _ = standardize(target)
-        report = ridge_loocv(x, target[:, 0])
-        assert report.error_reduction > 0.9
+        report = ridge_loocv(x, target)
+        assert report.error_reduction[0] > 0.9
 
     def test_report_consistency(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(9, 3))
         y = rng.normal(size=9)
         report = ridge_loocv(x, y)
-        assert report.rmse >= 0.0
-        assert report.error_reduction == pytest.approx(1.0 - report.rmse)
-        assert len(report.predictions) == 9
-        assert all(a in DEFAULT_ALPHA_GRID for a in report.chosen_alphas)
+        assert report.rmse.shape == report.error_reduction.shape == (1,)
+        assert report.rmse[0] >= 0.0
+        assert report.error_reduction[0] == pytest.approx(1.0 - report.rmse[0])
+        assert report.predictions.shape == report.chosen_alphas.shape == (9, 1)
+        assert all(a in DEFAULT_ALPHA_GRID for a in report.chosen_alphas[:, 0])
+
+    def test_target_columns_match_one_dimensional_calls(self):
+        # A signal column, a noise column and a mixed one choose different
+        # alphas; each must be scored as if it were fitted alone.
+        rng = np.random.default_rng(25)
+        x = one_hot_design(rng, 20)
+        signal = x @ rng.normal(size=x.shape[1])
+        noise = rng.normal(size=20)
+        y = np.column_stack([signal, noise, signal + 2 * noise])
+        report = ridge_loocv(x, y)
+        assert report.predictions.shape == report.chosen_alphas.shape == (20, 3)
+        assert len({tuple(report.chosen_alphas[:, k]) for k in range(3)}) > 1
+        for k in range(3):
+            single = ridge_loocv(x, y[:, k])
+            assert report.chosen_alphas[:, k].tolist() == single.chosen_alphas[:, 0].tolist()
+            np.testing.assert_allclose(
+                report.predictions[:, k], single.predictions[:, 0], rtol=0, atol=1e-12
+            )
+            assert report.rmse[k] == pytest.approx(single.rmse[0], rel=0, abs=1e-12)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):

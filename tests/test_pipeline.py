@@ -3,14 +3,17 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from morphcomplex import cli, measures, pipeline
+from morphcomplex.analysis import pca, standardize
 from morphcomplex.config import RunConfig
 from morphcomplex.measures import ALL_MEASURES
-from morphcomplex.wals import MORPHOLOGY_FEATURES
+from morphcomplex.wals import MORPHOLOGY_FEATURES, encode, load_wals
 
 from synthdata import conllu_text, suffixing_sentences
 from test_analysis import nested_loo_reference
@@ -74,9 +77,9 @@ def release(tmp_path_factory):
     calls = []
     original = pipeline.ridge_loocv
 
-    def recording(design, target, *args, **kwargs):
-        calls.append((design.matrix.copy(), np.array(target)))
-        return original(design, target, *args, **kwargs)
+    def recording(design, targets, *args, **kwargs):
+        calls.append((design.matrix.copy(), np.array(targets)))
+        return original(design, targets, *args, **kwargs)
 
     pipeline.ridge_loocv = recording
     try:
@@ -106,17 +109,19 @@ def test_ridge_rows_match_solve_reference(release):
     _, header, rows = pipeline._read_tsv(str(root / "out" / "ridge.tsv"))
     targets = list(ALL_MEASURES) + [f"pc{k + 1}" for k in range(len(ALL_MEASURES))]
     assert [row[0] for row in rows] == targets
-    assert len(calls) == len(rows)
-    for row, (design, target) in zip(rows, calls):
+    [(design, matrix)] = calls  # every target has the same 10 rows: one fit
+    assert matrix.shape == (N_TREEBANKS, len(rows))
+    for row, target in zip(rows, matrix.T):
         record = dict(zip(header, row))
         assert int(record["n_rows"]) == N_TREEBANKS
         _, _, rmse = nested_loo_reference(design, target)
         assert record["rmse"] == f"{rmse:.12g}"
 
 
-def analyze_cut_measures(release, tmp_path, cut):
-    """Run ``analyze`` on the release's measures.tsv cut to ``cut(text)``;
-    returns the exit code and the output directory."""
+def analyze_cut_measures(release, tmp_path, cut, config_lines=""):
+    """Run ``analyze`` on the release's measures.tsv cut to ``cut(text)``,
+    with the release's WALS CSV and ``config_lines`` added to the run
+    configuration; returns the exit code and the output directory."""
     root, _, _, _ = release
     out = tmp_path / "out"
     out.mkdir()
@@ -125,8 +130,94 @@ def analyze_cut_measures(release, tmp_path, cut):
     measures = (out / "measures.tsv").read_text(encoding="utf-8")
     (out / "measures.tsv").write_text(cut(measures), encoding="utf-8")
     config = tmp_path / "run.cfg"
-    config.write_text(f"manifest = {root / 'manifest.tsv'}\nout = {out}\n", encoding="utf-8")
+    config.write_text(
+        f"manifest = {root / 'manifest.tsv'}\nout = {out}\nwals = {root / 'wals.csv'}\n"
+        + config_lines,
+        encoding="utf-8",
+    )
     return cli.main(["analyze", "--config", str(config)]), out
+
+
+def reference_ridge_rows(out, wals_csv, per_language=False):
+    """``ridge.tsv`` rows (target, n_rows, rmse, chosen_alphas) from one
+    ``nested_loo_reference`` per target over that target's own rows."""
+    matrix, languages, _ = pipeline.read_measure_matrix(str(out))
+    ids = np.array(matrix.treebank_ids)
+    available, complete = matrix.available(), matrix.complete_rows()
+    z, _, _ = standardize(matrix.values[complete])
+    scores = pca(z, orient_column=matrix.measures.index("ttr")).scores
+    targets = [
+        (m, ids[available[:, j]], matrix.values[available[:, j], j])
+        for j, m in enumerate(matrix.measures)
+    ]
+    targets += [(f"pc{k + 1}", ids[complete], scores[:, k]) for k in range(scores.shape[1])]
+    records = load_wals(wals_csv.read_text(encoding="utf-8"))
+    rows = []
+    for name, tb_ids, values in targets:
+        codes = [languages[tb] for tb in tb_ids]
+        if per_language:
+            grouped = {}
+            for code, value in zip(codes, values):
+                grouped.setdefault(code, []).append(value)
+            codes = sorted(grouped)
+            values = np.array([np.mean(grouped[code]) for code in codes])
+        y = (values - values.mean()) / values.std()
+        chosen, _, rmse = nested_loo_reference(encode(records, codes).matrix, y)
+        rows.append([name, str(len(codes)), f"{rmse:.12g}", ";".join(f"{a:.12g}" for a in chosen)])
+    return rows
+
+
+def ridge_tsv_rows(out):
+    """(target, n_rows, rmse, chosen_alphas) of each ``ridge.tsv`` row."""
+    return [[r[0], r[1], r[2], r[4]] for r in pipeline._read_tsv(str(out / "ridge.tsv"))[2]]
+
+
+def test_per_language_rows_are_language_means(release, tmp_path):
+    root, _, _, _ = release
+    code, out = analyze_cut_measures(
+        release, tmp_path, lambda text: text, config_lines="wals_rows = per-language\n"
+    )
+    assert code == 0
+    rows = ridge_tsv_rows(out)
+    assert {r[1] for r in rows} == {"8"}  # 10 treebanks in 8 languages
+    assert rows == reference_ridge_rows(out, root / "wals.csv", per_language=True)
+
+
+def mark_unavailable(text, cells):
+    """``measures.tsv`` text with the given (treebank, measure) cells made NA."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key = line.split("\t")[:2]
+        if tuple(key) in cells:
+            lines[i] = "\t".join(key + ["NA", "NA", "0", "false"])
+    return "\n".join(lines) + "\n"
+
+
+def test_one_ridge_fit_per_row_set(release, tmp_path, monkeypatch):
+    """ws lacks tb2 and is lacks tb3, so the targets fall into four row sets:
+    10 rows (six measures), 9 (ws), 9 (is) and 8 (every component)."""
+    root, _, _, _ = release
+    shapes = []
+    original = pipeline.ridge_loocv
+
+    def recording(design, targets, *args, **kwargs):
+        shapes.append(np.shape(targets))
+        return original(design, targets, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ridge_loocv", recording)
+    code, out = analyze_cut_measures(
+        release, tmp_path, lambda text: mark_unavailable(text, {("tb2", "ws"), ("tb3", "is")})
+    )
+    assert code == 0
+    rows = ridge_tsv_rows(out)
+    n_components = len(pipeline._read_tsv(str(out / "pca_scores.tsv"))[1]) - 1
+    pcs = [f"pc{k + 1}" for k in range(n_components)]
+    assert [r[0] for r in rows] == list(ALL_MEASURES) + pcs
+    assert {r[0]: r[1] for r in rows} == {
+        **{m: "10" for m in ALL_MEASURES}, "ws": "9", "is": "9", **{pc: "8" for pc in pcs}
+    }
+    assert sorted(shapes) == [(8, n_components), (9, 1), (9, 1), (10, len(ALL_MEASURES) - 2)]
+    assert rows == reference_ridge_rows(out, root / "wals.csv")
 
 
 def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
@@ -335,6 +426,21 @@ def test_each_failure_logged_once(failure_release, tmp_path, monkeypatch, caplog
     assert "boom" in errors[1] and "msp broke" in errors[1]
 
 
+def test_failure_traceback_logged_with_verbose(failure_release, tmp_path, monkeypatch, caplog):
+    _, config, _ = failure_release
+    monkeypatch.setattr(measures, "msp", failing_msp)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.DEBUG):
+        assert cli.main(["-v", "run-all", "--config", config, "--jobs", "1", "--out", str(out)]) == 2
+    [boom] = [r for r in caplog.records if r.levelno >= logging.ERROR and "boom" in r.getMessage()]
+    assert boom.exc_info is not None
+    assert "failing_msp" in logging.Formatter().formatException(boom.exc_info)
+    rows = pipeline._read_tsv(str(out / "treebanks.tsv"))[2]
+    assert [r[7] for r in rows if r[0] == "boom"] == [
+        "measure 'msp' failed on repetition 0 of boom: msp broke"
+    ]
+
+
 def test_duplicate_treebank_id_rejected(tmp_path, caplog):
     config = write_release(tmp_path)
     manifest = tmp_path / "manifest.tsv"
@@ -345,4 +451,27 @@ def test_duplicate_treebank_id_rejected(tmp_path, caplog):
     [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert str(manifest) in message and "'tb1'" in message
     assert "line 2" in message and "line 4" in message
-    assert not (tmp_path / "out" / "measures.tsv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_tracer_wraps_every_layer(release, tmp_path):
+    """The benchmark's tracer replaces functions by name in ``pipeline``,
+    ``wals`` and the other modules; a renamed one loses its span."""
+    _, config, _, _ = release
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(repo, "src")}
+    result = tmp_path / "trace.json"
+    subprocess.run(
+        [
+            sys.executable, os.path.join(repo, "perfbench", "tracer.py"), str(result), "--",
+            "run-all", "--config", config, "--jobs", "1", "--out", str(tmp_path / "out"),
+        ],
+        check=True, env=env, capture_output=True, timeout=300,
+    )
+    trace = json.loads(result.read_text(encoding="utf-8"))
+    assert trace["status"] == 0
+    assert {span[0] for span in trace["spans"]} >= {
+        "conllu.parse", "sampling.repetitions", "inflection.cross_validate",
+        "analysis.correlation", "analysis.pca", "analysis.standardize", "analysis.ridge",
+        "wals.load", "wals.encode", "svgplot",
+    }

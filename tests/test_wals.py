@@ -7,6 +7,7 @@ from morphcomplex.wals import (
     WalsRecord,
     encode,
     load_wals,
+    match_rows,
 )
 
 CSV = """iso_code,Name,22A Inflectional Synthesis of the Verb,26A Prefixing vs. Suffixing,extra
@@ -132,6 +133,36 @@ class TestEncode:
     def test_empty_language_list_rejected(self):
         with pytest.raises(ValueError):
             encode(records_abm(), [], feature_list=["F1"])
+
+    def test_codes_compared_casefolded_and_first_record_wins(self):
+        records = [WalsRecord("L1", {"F1": "A"}), WalsRecord("l1", {"F1": "B"})]
+        dm = encode(records, ["l1", "L1"], feature_list=["F1"])
+        np.testing.assert_array_equal(dm.matrix, [[1, 0, 0], [1, 0, 0]])
+
+
+class TestMatchRows:
+    def test_codes_casefolded_and_unknown_languages_dropped(self):
+        codes, values = match_rows(
+            records_abm(), ["L1", "xx", "l2", "L3", "l1"], np.arange(5.0), per_language=False
+        )
+        assert codes == ("l1", "l2", "l3", "l1")
+        np.testing.assert_array_equal(values, [0.0, 2.0, 3.0, 4.0])
+
+    def test_per_language_means_in_sorted_code_order(self):
+        codes = ["l3", "L1", "l2", "l3", "l1", "l1"]
+        values = np.random.default_rng(1).normal(size=len(codes))
+        matched, means = match_rows(records_abm(), codes, values, per_language=True)
+        assert matched == ("l1", "l2", "l3")
+        folded = np.array([c.lower() for c in codes])
+        assert means.tolist() == [np.mean(values[folded == c]) for c in matched]
+
+    def test_fewer_than_three_rows_rejected(self):
+        with pytest.raises(ValueError, match="^only 2 rows matched WALS languages$"):
+            match_rows(records_abm(), ["l1", "xx", "l2"], np.arange(3.0), per_language=False)
+
+    def test_fewer_than_three_languages_rejected(self):
+        with pytest.raises(ValueError, match="^only 2 languages matched WALS languages$"):
+            match_rows(records_abm(), ["l1", "l2", "L1", "l2"], np.arange(4.0), per_language=True)
 
 
 def test_default_feature_list_is_the_28_morphology_features():
