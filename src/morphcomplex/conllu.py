@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,16 @@ class Treebank:
     @property
     def n_tokens(self) -> int:
         return len(self.form_ids)
+
+    @cached_property
+    def sentence_lengths(self) -> np.ndarray:
+        """Tokens per sentence, computed on first use."""
+        return np.diff(self.sentences, append=self.n_tokens)
+
+    @cached_property
+    def sentence_length_list(self) -> list[int]:
+        """``sentence_lengths`` as Python ints, for fast scalar lookups."""
+        return self.sentence_lengths.tolist()
 
     @property
     def n_feature_keys(self) -> int:

@@ -159,9 +159,10 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
                 outcome.ia = result
                 outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1, 1)
     except Exception as exc:  # isolate per-treebank failures
+        error = f"{type(exc).__name__}: {exc}"
         debug = log.isEnabledFor(logging.DEBUG)
-        log.error("treebank %s (%s) failed: %s", tb_id, path, exc, exc_info=debug)
-        return replace(outcome, status="failed", stats={}, ia=None, error=str(exc))
+        log.error("treebank %s (%s) failed: %s", tb_id, path, error, exc_info=debug)
+        return replace(outcome, status="failed", stats={}, ia=None, error=error)
     return outcome
 
 

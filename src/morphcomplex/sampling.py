@@ -111,14 +111,13 @@ def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Gene
         raise ValueError(f"treebank {treebank.id}: cannot sample from an empty treebank")
     if target_tokens < 1:
         raise ValueError("target_tokens must be >= 1")
-    lengths = np.diff(treebank.sentences, append=treebank.n_tokens)
-    sizes = lengths.tolist()
+    sizes = treebank.sentence_length_list
     drawn: list[int] = []
     total = 0
     while total < target_tokens:
         drawn.append(int(rng.integers(0, len(sizes))))
         total += sizes[drawn[-1]]
-    lens = lengths[drawn]
+    lens = treebank.sentence_lengths[drawn]
     starts = np.cumsum(lens) - lens
     tokens = np.repeat(treebank.sentences[drawn] - starts, lens) + np.arange(total)
     return Sample(treebank, tokens[:target_tokens], starts)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +19,7 @@ from morphcomplex.inflection import (
     extract_instances,
     featurize,
     predict,
+    predict_batch,
     train,
 )
 
@@ -65,6 +69,22 @@ class TestExtractInstances:
         assert extract_instances(sample) == []
 
 
+def reference_longest_common_substring(a: str, b: str) -> tuple[int, int, int]:
+    """(start_a, start_b, length) of the longest common substring, by dynamic
+    programming; ties break on the leftmost start in ``a``, then in ``b``."""
+    best = (0, 0, 0)
+    prev = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+                if cur[j] > best[2]:
+                    best = (i - cur[j], j - cur[j], cur[j])
+        prev = cur
+    return best
+
+
 class TestEditScript:
     def test_pure_suffixation(self):
         script = derive_edit_script("walk", "walked")
@@ -105,6 +125,15 @@ class TestEditScript:
     @settings(max_examples=400, deadline=None)
     def test_round_trip(self, lemma, form):
         assert derive_edit_script(lemma, form).apply(lemma) == form
+
+    @given(lemma=WORDS, form=WORDS)
+    @settings(max_examples=400, deadline=None)
+    def test_alignment_matches_reference(self, lemma, form):
+        start_l, start_f, length = reference_longest_common_substring(lemma, form)
+        expected = EditScript(
+            start_l, form[:start_f], len(lemma) - start_l - length, form[start_f + length :]
+        ) if length else EditScript(len(lemma), form, 0, "")
+        assert derive_edit_script(lemma, form) == expected
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -310,26 +339,86 @@ class TestMatchesReferenceLearner:
     )
     @pytest.mark.parametrize("seed", [0, 5])
     def test_weights_and_predictions(self, instances, seed):
-        params = Hyperparams(ngram_order=3, epochs=7)
-        model = train(instances, params, np.random.default_rng(seed))
-        classes, averaged, steps = reference_train(
-            instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
+        assert_matches_reference(instances, Hyperparams(ngram_order=3, epochs=7), seed)
+
+    @pytest.mark.parametrize("ngram_order", [1, 4])
+    def test_past_one_block(self, ngram_order):
+        """Epochs span many argmax blocks, so mistakes end blocks early and
+        training resumes mid-block."""
+        instances = irregular_toy_instances(80, seed=3)
+        assert len(instances) == 240
+        model = assert_matches_reference(instances, Hyperparams(ngram_order, epochs=6), seed=2)
+        assert len(model.scripts) == 30
+
+
+def assert_matches_reference(instances, params, seed):
+    model = train(instances, params, np.random.default_rng(seed))
+    classes, averaged, steps = reference_train(
+        instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
+    )
+    assert model.scripts == classes
+    expected = np.zeros(model.weights.shape)
+    for f, row in averaged.items():
+        for c, value in row.items():
+            expected[model.feature_ids[f], c] = value
+    if steps:
+        assert np.array_equal(model.weights / steps, expected)
+    else:
+        assert len(classes) == 1 and not model.weights.any()
+    queries = [(i.lemma, i.feature_bundle) for i in instances]
+    queries += [("zebra", b) for b in ("Number=Plur", "Tense=Past", "X=1", "Y=2")]
+    for lemma, bundle in queries:
+        assert predict(model, lemma, bundle) == reference_predict(
+            classes, averaged, params.ngram_order, lemma, bundle
         )
-        assert model.scripts == classes
-        expected = np.zeros(model.weights.shape)
-        for f, row in averaged.items():
-            for c, value in row.items():
-                expected[model.feature_ids[f], c] = value
-        if steps:
-            assert np.array_equal(model.weights / steps, expected)
-        else:
-            assert len(classes) == 1 and not model.weights.any()
-        queries = [(i.lemma, i.feature_bundle) for i in instances]
-        queries += [("zebra", b) for b in ("Number=Plur", "Tense=Past", "X=1", "Y=2")]
-        for lemma, bundle in queries:
-            assert predict(model, lemma, bundle) == reference_predict(
-                classes, averaged, params.ngram_order, lemma, bundle
-            )
+    return model
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    """The learner imports ``scipy.sparse`` on first use, so runs without
+    -IA do not pay for it."""
+    import morphcomplex
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morphcomplex.__file__))}
+    code = "import sys, morphcomplex.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
+class TestPredictBatch:
+    """The batched scorer gives each row what a one-row call gives it."""
+
+    QUERIES = [
+        ("zebra", "Number=Plur"),  # unseen characters
+        ("quux", "Mood=Imp|Tense=Past"),  # an unseen pair
+        ("q", "Tense=Past"),  # shorter than most scripts' drops
+        ("xy", "X=1"),
+    ]
+
+    @staticmethod
+    def check(model, queries):
+        lemmas = [lemma for lemma, _ in queries]
+        feats = [featurize(lemma, b, model.params.ngram_order) for lemma, b in queries]
+        assert predict_batch(model, lemmas, feats) == [predict(model, *q) for q in queries]
+
+    def test_held_out_queries(self):
+        instances = irregular_toy_instances(80, seed=3)
+        model = train(instances, Hyperparams(4, 6), np.random.default_rng(2))
+        self.check(model, self.QUERIES + [(i.lemma, i.feature_bundle) for i in instances[::7]])
+
+    def test_clamped_when_no_script_fits(self):
+        # Upper-case forms share no substring with their lemmas, so every
+        # script drops the whole lemma and none fits a one-letter lemma.
+        instances = [
+            InflectionInstance(i.lemma, i.feature_bundle, i.lemma.upper() + i.feature_bundle[0])
+            for i in regular_toy_instances(20, seed=4)
+        ]
+        model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
+        assert not any(s.fits("q") for s in model.scripts)
+        assert predict(model, "q", "Tense=Past") in {s.apply_clamped("q") for s in model.scripts}
+        self.check(model, self.QUERIES)
 
 
 class TestCrossValidate:

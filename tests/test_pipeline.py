@@ -1,10 +1,12 @@
 """End-to-end runs of the command line over a small synthetic release."""
 
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ PINNED_IA_ACCURACY = {
     "tb7": 1.0,
     "tb8": 0.9916666666666667,
     "tb9": 0.9841269841269842,
+}
+
+# SHA-256 of the release's outputs from run-all.  A change that moves them on
+# purpose updates these digests and says why.
+PINNED_DIGESTS = {
+    "measures.tsv": "114d1565b991afd7f6d5a96db45b4a8783614634fe19063b02b7f46675db1e9b",
+    "ia_params.json": "bf346c769c9d0d7df4532d45d1dd850e091ab2f488ba23db62a74a4035261637",
 }
 
 
@@ -248,6 +257,15 @@ def test_neg_ia_pinned(release):
     assert cells == {tb: f"{-acc:.12g}" for tb, acc in PINNED_IA_ACCURACY.items()}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_output_digests_pinned(release, tmp_path, jobs):
+    _, config, _, _ = release
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", config, "--jobs", str(jobs), "--out", str(out)]) == 0
+    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_DIGESTS}
+    assert digests == PINNED_DIGESTS
+
+
 def test_no_step_hyperparameter_in_outputs(release):
     root, _, _, _ = release
     ia = json.loads((root / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]
@@ -298,10 +316,8 @@ def test_rerun_without_wals_removes_stale_outputs(tmp_path):
     out = tmp_path / "out"
     assert (out / "ridge.tsv").exists() and (out / "wals_error.svg").exists()
     no_wals = tmp_path / "no_wals.cfg"
-    no_wals.write_text(
-        "".join(line for line in open(config, encoding="utf-8") if not line.startswith("wals")),
-        encoding="utf-8",
-    )
+    lines = Path(config).read_text(encoding="utf-8").splitlines(keepends=True)
+    no_wals.write_text("".join(x for x in lines if not x.startswith("wals")), encoding="utf-8")
     assert cli.main(["run-all", "--config", str(no_wals), "--seed", "8"]) == 0
     assert not (out / "ridge.tsv").exists()
     assert not (out / "wals_error.svg").exists()
@@ -384,9 +400,10 @@ def test_failures_stay_with_their_treebank(failure_release):
     assert [(r[0], r[2], r[6], r[7]) for r in rows] == [
         ("ok0", "ok", "-", "-"),
         ("few", "ok", "no-morph-features:is+mfh+neg_ia", "-"),
-        ("bad", "failed", "-", "line 2: expected 10 columns, got 2"),
+        ("bad", "failed", "-", "ConlluParseError: line 2: expected 10 columns, got 2"),
         ("zh", "ok", "non-alphabetic-script:ws", "-"),
-        ("boom", "failed", "-", "measure 'msp' failed on repetition 0 of boom: msp broke"),
+        ("boom", "failed", "-",
+         "MeasureError: measure 'msp' failed on repetition 0 of boom: msp broke"),
         ("ok1", "ok", "-", "-"),
     ]
     counts = {r[0]: [int(c) for c in r[3:6]] for r in rows}
@@ -437,7 +454,7 @@ def test_failure_traceback_logged_with_verbose(failure_release, tmp_path, monkey
     assert "failing_msp" in logging.Formatter().formatException(boom.exc_info)
     rows = pipeline._read_tsv(str(out / "treebanks.tsv"))[2]
     assert [r[7] for r in rows if r[0] == "boom"] == [
-        "measure 'msp' failed on repetition 0 of boom: msp broke"
+        "MeasureError: measure 'msp' failed on repetition 0 of boom: msp broke"
     ]
 
 
