@@ -3,6 +3,7 @@
 Only the columns needed for morphological statistics are kept: FORM,
 LEMMA and FEATS, each interned into a table of distinct values with one
 ``int32`` ID per token.  UPOS and the dependency columns are dropped.
+Files are streamed line by line, never held whole.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -78,6 +80,24 @@ class Treebank:
         """``sentence_lengths`` as Python ints, for fast scalar lookups."""
         return self.sentence_lengths.tolist()
 
+    @cached_property
+    def form_array(self) -> np.ndarray:
+        """``forms`` as an object array, to gather a sample's forms in one step."""
+        return np.array(self.forms, dtype=object)
+
+    @cached_property
+    def form_lengths(self) -> np.ndarray:
+        """Characters in each form-table entry, computed on first use."""
+        return np.fromiter(map(len, self.forms), dtype=np.intp, count=len(self.forms))
+
+    @cached_property
+    def form_chars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forms' sorted distinct code points, the index into them of each character
+        of the forms joined in table order, and each form's offset in that join."""
+        codes = np.frombuffer("".join(self.forms).encode("utf-32-le"), dtype=np.uint32)
+        alphabet, char_ids = np.unique(codes, return_inverse=True)
+        return alphabet, char_ids, np.cumsum(self.form_lengths) - self.form_lengths
+
     @property
     def n_feature_keys(self) -> int:
         return len({key for bundle in self.bundles for key, _ in bundle})
@@ -105,13 +125,32 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
     A leading byte-order mark and CRLF line ends are accepted.
     ``lowercase`` folds forms and lemmas (off by default).
     """
+    return _parse_lines(text.removeprefix("\ufeff").split("\n"), id, language_code, lowercase)
+
+
+def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
+    """``parse_conllu`` over a UTF-8 file, read one line at a time."""
+    try:
+        # newline="\n": only "\n" ends a line, so a lone "\r" stays inside its field.
+        with open(path, encoding="utf-8-sig", newline="\n") as f:
+            return _parse_lines(f, id, language_code, lowercase)
+    except UnicodeDecodeError as exc:
+        # The decoder's offset counts from its last block, so rescan for the line:
+        # a line is UTF-8 when decoding with replacement gives it back unchanged.
+        with open(path, "rb") as f:
+            valid = (line.decode("utf-8", "replace").encode("utf-8") == line for line in f)
+            line_no = next((n for n, ok in enumerate(valid, start=1) if not ok), 0)
+        raise ConlluParseError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
+
+
+def _parse_lines(lines: Iterable[str], id: str, language_code: str, lowercase: bool) -> Treebank:
     forms: dict[str, int] = {}
     lemmas: dict[str, int] = {EMPTY_MARKER: 0}
     bundles: dict[tuple[tuple[str, str], ...], int] = {(): 0}
     cells: dict[str, int] = {}  # FEATS cell -> bundle ID: each distinct cell is parsed once
     form_ids, lemma_ids, bundle_ids, boundaries = [], [], [], [0]
-    for line_no, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        line = line.rstrip("\r")
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
         if not line.strip():
             boundaries.append(len(form_ids))
             continue
@@ -145,12 +184,6 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
     columns = (form_ids, lemma_ids, bundle_ids, starts[starts < len(form_ids)])
     ids = (np.array(col, dtype=np.int32) for col in columns)
     return Treebank(id, language_code, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
-
-
-def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
-    # newline="": parse_conllu splits lines itself, so a lone "\r" stays inside its field.
-    with open(path, encoding="utf-8", newline="") as f:
-        return parse_conllu(f.read(), id, language_code, lowercase=lowercase)
 
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:

@@ -14,7 +14,8 @@ them as zeros.
 
 Every measure counts over the treebank's interned ID arrays at the
 sample's token indices (``np.bincount``/``np.unique``); Python loops run
-only over the distinct feature bundles or word types of a sample.
+only over the distinct feature bundles or word types of a sample.  ``ws``
+takes its type counts, first occurrences and character model from one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .conllu import Treebank
 from .sampling import Sample
 
 log = logging.getLogger(__name__)
@@ -156,17 +158,25 @@ class CharUnigramModel:
 
 def char_unigram_model(sample: Sample) -> CharUnigramModel:
     """Token-weighted character counts over forms, delimiters excluded."""
-    types, counts = np.unique(sample.treebank.form_ids[sample.tokens], return_counts=True)
-    words = [sample.treebank.forms[t] for t in types.tolist()]
-    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype=np.uint32)
-    weights = np.repeat(counts, [len(w) for w in words])
-    keep = ~np.isin(codes, _DELIMITER_CODES)
-    chars, inverse = np.unique(codes[keep], return_inverse=True)
-    if not len(chars):
+    tb = sample.treebank
+    counts = np.bincount(tb.form_ids[sample.tokens], minlength=len(tb.forms))
+    return _char_model(tb, np.flatnonzero(counts), counts)
+
+
+def _char_model(tb: Treebank, types: np.ndarray, counts: np.ndarray) -> CharUnigramModel:
+    """The model of a sample with form-table ``counts``, nonzero at ``types``."""
+    alphabet, char_ids, offsets = tb.form_chars
+    lengths = tb.form_lengths[types]
+    ends = np.cumsum(lengths)
+    at = np.repeat(offsets[types] - (ends - lengths), lengths) + np.arange(ends[-1])
+    weights = np.repeat(counts[types], lengths)
+    char_counts = np.bincount(char_ids[at], weights=weights, minlength=len(alphabet))
+    keep = (char_counts > 0) & ~np.isin(alphabet, _DELIMITER_CODES)
+    if not keep.any():
         # Degenerate sample whose forms are all delimiter characters.
         return CharUnigramModel(("x",), np.ones(1))
-    char_counts = np.bincount(inverse, weights=weights[keep])
-    return CharUnigramModel(tuple(map(chr, chars.tolist())), char_counts / char_counts.sum())
+    chars, char_counts = tuple(map(chr, alphabet[keep].tolist())), char_counts[keep]
+    return CharUnigramModel(chars, char_counts / char_counts.sum())
 
 
 def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
@@ -207,25 +217,26 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
     rest take the next free string.
     """
     tb = sample.treebank
-    types, first, inverse = np.unique(
-        tb.form_ids[sample.tokens], return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)  # word types in first-occurrence order
-    lengths = [len(tb.forms[t]) for t in types[order].tolist()]
-    model = char_unigram_model(sample)
+    ids = tb.form_ids[sample.tokens]
+    counts = np.bincount(ids, minlength=len(tb.forms))
+    first = np.full(len(tb.forms), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    types = ids[np.sort(first[counts > 0])]  # word types in first-occurrence order
+    model = _char_model(tb, types, counts)
     codes = np.array([ord(c) for c in model.chars], dtype=np.uint32)
-    replacement = [""] * len(lengths)
+    lengths = tb.form_lengths[types]
+    replacement = [""] * len(types)
     used: set[str] = set()
-    pending = [k for k, length in enumerate(lengths) if length]
+    pending = np.flatnonzero(lengths).tolist()
     for _ in range(_DISTORT_MAX_RETRIES):
         if not pending:
             break
-        draw = rng.choice(len(codes), size=sum(lengths[k] for k in pending), p=model.probabilities)
+        ends = np.cumsum(lengths[pending]).tolist()
+        draw = rng.choice(len(codes), size=ends[-1], p=model.probabilities)
         text = codes[draw].tobytes().decode("utf-32-le")
-        collided, start = [], 0
-        for k in pending:
-            cand = replacement[k] = text[start : start + lengths[k]]
-            start += lengths[k]
+        collided = []
+        for k, start, end in zip(pending, [0] + ends, ends):
+            cand = replacement[k] = text[start:end]
             if cand in used:
                 collided.append(k)
             else:
@@ -239,17 +250,19 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
             "used deterministic disambiguation",
             lengths[k],
         )
-    return sample.rows([replacement[k] for k in np.argsort(order)[inverse].tolist()])
+    rank = np.empty(len(tb.forms), dtype=np.intp)
+    rank[types] = np.arange(len(types))
+    return sample.rows(np.array(replacement, dtype=object)[rank[ids]].tolist())
 
 
 def serialize_rows(rows: Iterable[Iterable[str]]) -> str:
     """Join tokens with single spaces and sentences with newlines."""
-    return "\n".join(" ".join(row) for row in rows)
+    return "\n".join([" ".join(row) for row in rows])
 
 
 def serialize_sample(sample: Sample) -> str:
     tb = sample.treebank
-    return serialize_rows(sample.rows([tb.forms[f] for f in tb.form_ids[sample.tokens].tolist()]))
+    return serialize_rows(sample.rows(tb.form_array[tb.form_ids[sample.tokens]].tolist()))
 
 
 def compression_ratio(text: str) -> float:

@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,6 +176,7 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     entries = read_manifest(config.manifest)
     os.makedirs(config.out_dir, exist_ok=True)
     if config.jobs > 1 and len(entries) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_measure_one, entries, [config] * len(entries)))
     else:

@@ -146,7 +146,8 @@ def run_repetitions(
                 value = fn(sample, measure_rng(config.seed, treebank.id, rep, name))
             except Exception as exc:
                 raise MeasureError(
-                    f"measure {name!r} failed on repetition {rep} of {treebank.id}: {exc}"
+                    f"measure {name!r} failed on repetition {rep} of {treebank.id}: "
+                    f"{type(exc).__name__}: {exc}"
                 ) from exc
             values[name].append(value)
     summary: dict[str, MeasureStats] = {}

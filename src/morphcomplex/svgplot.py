@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def measure_panels(matrix: MeasureMatrix, seed: int = 0) -> str:
         y0 = py + 28.0
         body.append(
             f'<text x="{_num(px)}" y="{_num(py + 14)}" {_FONT} font-size="13" '
-            f'font-weight="bold">{escape(measure)}</text>'
+            f'font-weight="bold">{escape(measure, quote=False)}</text>'
         )
         mx = _scale(mean, lo, hi, x0, x1)
         y_bottom = y0 + len(values) * row_height
@@ -86,7 +86,7 @@ def measure_panels(matrix: MeasureMatrix, seed: int = 0) -> str:
             cx = _scale(v, lo, hi, x0, x1)
             body.append(
                 f'<text x="{_num(px)}" y="{_num(cy + 3)}" {_FONT} font-size="9">'
-                f"{escape(tb)}</text>"
+                f"{escape(tb, quote=False)}</text>"
             )
             body.append(f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="steelblue"/>')
         axis_y = y_bottom + 14.0
@@ -128,7 +128,7 @@ def pca_scatter(
         body.append(f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="steelblue"/>')
         body.append(
             f'<text x="{_num(cx + 5)}" y="{_num(cy + 3)}" {_FONT} font-size="9">'
-            f"{escape(label)}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
     body.append(
         f'<text x="{_num(width / 2)}" y="{_num(height - 16)}" {_FONT} font-size="12" '
@@ -171,7 +171,7 @@ def error_reduction_bars(names: list[str], values: list[float], seed: int = 0) -
         )
         body.append(
             f'<text x="{_num(x + bar_w / 2)}" y="{_num(floor + 16)}" {_FONT} font-size="11" '
-            f'text-anchor="middle">{escape(name)}</text>'
+            f'text-anchor="middle">{escape(name, quote=False)}</text>'
         )
     body.append(
         f'<text x="16" y="{_num(height / 2)}" {_FONT} font-size="12" text-anchor="middle" '

@@ -131,6 +131,37 @@ class TestParse:
         assert treebank_tokens(tb)[0][0].form == "koirat"
 
 
+# Byte inputs on which the streamed file parse must equal the text parse.
+FILE_INPUTS = {
+    "bom": b"\xef\xbb\xbf" + SIMPLE.encode("utf-8"),
+    "crlf": SIMPLE.replace("\n", "\r\n").encode("utf-8"),
+    "lone-cr-in-field": "\n".join([token_line(1, "a\rb", "a"), token_line(2, "c\r", "c")]).encode(),
+    "no-final-newline": SIMPLE.rstrip("\n").encode("utf-8"),
+    "trailing-blank-lines": (SIMPLE + "\n\r\n\n").encode("utf-8"),
+    "whitespace-only-lines": SIMPLE.replace("\n\n", "\n \t\n  \r\n").encode("utf-8"),
+}
+
+
+class TestFile:
+    @pytest.mark.parametrize("name", sorted(FILE_INPUTS))
+    def test_file_parse_equals_text_parse(self, tmp_path, name):
+        path = tmp_path / "t.conllu"
+        path.write_bytes(FILE_INPUTS[name])
+        text = FILE_INPUTS[name].decode("utf-8")
+        assert parse_conllu_file(str(path), "x", "xx") == parse_conllu(text, "x", "xx")
+
+    @pytest.mark.parametrize("repeat, line_no", [(1, 3), (400, 1203)])
+    def test_invalid_utf8_names_its_line(self, tmp_path, repeat, line_no):
+        """The bad byte may sit past the first block the decoder reads."""
+        lines = (SIMPLE * repeat).encode("utf-8").split(b"\n")
+        lines[line_no - 1] = lines[line_no - 1].replace(b"\t", b"\xff\t", 1)
+        path = tmp_path / "bad.conllu"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ConlluParseError, match="invalid UTF-8") as err:
+            parse_conllu_file(str(path), "x", "xx")
+        assert err.value.line_no == line_no
+
+
 @st.composite
 def sentence_shapes(draw):
     n_sents = draw(st.integers(min_value=1, max_value=6))

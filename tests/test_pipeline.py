@@ -403,7 +403,7 @@ def test_failures_stay_with_their_treebank(failure_release):
         ("bad", "failed", "-", "ConlluParseError: line 2: expected 10 columns, got 2"),
         ("zh", "ok", "non-alphabetic-script:ws", "-"),
         ("boom", "failed", "-",
-         "MeasureError: measure 'msp' failed on repetition 0 of boom: msp broke"),
+         "MeasureError: measure 'msp' failed on repetition 0 of boom: ValueError: msp broke"),
         ("ok1", "ok", "-", "-"),
     ]
     counts = {r[0]: [int(c) for c in r[3:6]] for r in rows}
@@ -454,8 +454,60 @@ def test_failure_traceback_logged_with_verbose(failure_release, tmp_path, monkey
     assert "failing_msp" in logging.Formatter().formatException(boom.exc_info)
     rows = pipeline._read_tsv(str(out / "treebanks.tsv"))[2]
     assert [r[7] for r in rows if r[0] == "boom"] == [
-        "MeasureError: measure 'msp' failed on repetition 0 of boom: msp broke"
+        "MeasureError: measure 'msp' failed on repetition 0 of boom: ValueError: msp broke"
     ]
+
+
+def test_invalid_utf8_fails_only_its_treebank(tmp_path):
+    config = write_release(tmp_path)
+    with open(config, "a", encoding="utf-8") as f:
+        f.write("measures = ttr,wh\n")
+    path = tmp_path / "tb3.conllu"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    assert cli.main(["run-all", "--config", config]) == 2
+    rows = pipeline._read_tsv(str(tmp_path / "out" / "treebanks.tsv"))[2]
+    assert [r[7] for r in rows if r[2] != "ok"] == [
+        "ConlluParseError: line 3: invalid UTF-8 (invalid start byte)"
+    ]
+    assert [r[0] for r in rows if r[2] == "ok"] == [f"tb{i}" for i in range(N_TREEBANKS) if i != 3]
+
+
+def loaded_modules(code, *args):
+    """Run ``code`` in a fresh interpreter; return the sorted ``sys.modules`` names it prints."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(repo, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; print(*sorted(sys.modules))", *args],
+        capture_output=True, text=True, check=True, env=env, timeout=300,
+    )
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy_urllib_or_process_pool():
+    """scipy is -IA's alone, urllib came with an XML escape, and the pool's
+    module is needed only when ``jobs > 1``."""
+    modules = loaded_modules("import sys, morphcomplex.cli")
+    assert "morphcomplex.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "urllib.request" not in modules
+    assert "concurrent.futures.process" not in modules
+
+
+def test_run_all_without_neg_ia_loads_no_scipy(release, tmp_path):
+    """Correlations, PCA and ridge run on numpy and ``math`` alone."""
+    root, _, _, _ = release
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"manifest = {root / 'manifest.tsv'}\nwals = {root / 'wals.csv'}\nout = out\n"
+        "target_tokens = 200\nrepetitions = 2\nseed = 7\nmeasures = ttr,ws,wh,lh,msp,is,mfh\n",
+        encoding="utf-8",
+    )
+    code = "import sys; from morphcomplex import cli; assert cli.main(sys.argv[1:]) == 0"
+    modules = loaded_modules(code, "run-all", "--config", str(config), "--jobs", "1")
+    assert {"correlations.tsv", "pca.tsv", "ridge.tsv"} <= set(os.listdir(tmp_path / "out"))
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_duplicate_treebank_id_rejected(tmp_path, caplog):
