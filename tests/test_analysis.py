@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -520,6 +523,17 @@ class TestSignificance:
         for r in np.linspace(0.60, 0.66, 61):
             t = r * math.sqrt(8 / (1 - r * r))
             assert _t_significant(r, 10) == (2 * stats.t.sf(t, 8) < 0.05)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    import morphcomplex
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morphcomplex.__file__))}
+    code = "import sys, morphcomplex.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_closed_form_t_tail_matches_scipy():
