@@ -37,11 +37,21 @@ PINNED_IA_ACCURACY = {
     "tb9": 0.9841269841269842,
 }
 
-# SHA-256 of the release's outputs from run-all.  A change that moves them on
+# SHA-256 of every output of run-all on the release.  A change that moves them on
 # purpose updates these digests and says why.
 PINNED_DIGESTS = {
     "measures.tsv": "114d1565b991afd7f6d5a96db45b4a8783614634fe19063b02b7f46675db1e9b",
     "ia_params.json": "bf346c769c9d0d7df4532d45d1dd850e091ab2f488ba23db62a74a4035261637",
+    "treebanks.tsv": "322eacc18a201f1b4af263617c2ec427cf83285914592ea5a9a65e79b00d492e",
+    "run_meta.json": "71bf5cc8c276b713a0d9520af8a1eef7e124eb216039e81c0a2297ad83ba8686",
+    "correlations.tsv": "03305353f4582ca51892e79c10075c9ee51123e94765ef57a4b7e370a507ff8e",
+    "pca.tsv": "47a64130f836685bd3b7be1f4130d00f6ff5c52342a8ab85e60b79142f1e07c6",
+    "pca_scores.tsv": "77e4a0ea46ba1eada989e9a0a0687d0919a06e74245533f88013c3deff04e3d5",
+    "ridge.tsv": "41f6aaea3dac12c6ed22f090ad837b10332d1e25593a1dd06dc092f3094ec267",
+    "analyze_meta.json": "63feb3c07ef1309bc1834807abaa4041e5cbb2838bce51f12035c6239c73e781",
+    "measures.svg": "0a98b655d1c36e2866f92ab575c6515cc47de61f8ec59dd18b097d07fc02f974",
+    "pca.svg": "2c5a02c2f05e2afc988126b9aa080ec624052812e2370e0e55621e30a1e2b5dc",
+    "wals_error.svg": "841ea23e0fb52355aa940287a54a5a039bb3ed2dcc0ac9adbc3c6f706d99f12f",
 }
 
 
