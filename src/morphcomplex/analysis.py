@@ -1,8 +1,10 @@
-"""Joint analysis of measure vectors.
+"""Joint analysis of measure vectors: numerics only.
 
 Pairwise-complete correlation matrices with a significance flag, PCA via
 singular value decomposition of the centered matrix, and ridge regression
-evaluated with nested leave-one-out cross validation.  The flag's Student-t
+evaluated with nested leave-one-out cross validation.  Everything here works
+on plain arrays and knows nothing of WALS; ``wals`` builds the design
+matrices that ``ridge_loocv`` is given.  The flag's Student-t
 tail has a closed form at integer degrees of freedom; computing it with
 ``math`` keeps scipy, which doubled a run's start-up, out of analysis.
 """
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .wals import DesignMatrix
 
 P_THRESHOLD = 0.05
 
@@ -50,9 +50,6 @@ class CorrelationMatrix:
     values: np.ndarray
     significant: np.ndarray
     n_complete: np.ndarray
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
 
 
 @dataclass(frozen=True)
@@ -162,12 +159,10 @@ def correlation_matrix(m: MeasureMatrix, method: str = "pearson") -> Correlation
     return CorrelationMatrix(method, m.measures, values, significant, n_complete)
 
 
-def standardize(
-    matrix: np.ndarray, column_names: Sequence[str] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize(matrix: np.ndarray, column_names: Sequence[str] | None = None) -> np.ndarray:
     """Z-score each column with the population standard deviation.
 
-    Returns (z, means, stds); raises on a zero-variance column, naming it.
+    A 1-d input is one column.  Raises on a zero-variance column, naming it.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim == 1:
@@ -178,8 +173,7 @@ def standardize(
         if s <= 0.0:
             name = column_names[j] if column_names is not None else f"column {j}"
             raise ValueError(f"zero variance in {name}; cannot standardize")
-    z = (x - means) / stds
-    return z, means, stds
+    return (x - means) / stds
 
 
 def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
@@ -217,7 +211,7 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
 
 
 def ridge_loocv(
-    design: DesignMatrix | np.ndarray,
+    design: np.ndarray,
     targets: np.ndarray | Sequence[float],
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
 ) -> RidgeReport:
@@ -247,7 +241,7 @@ def ridge_loocv(
       no alpha scores finite, the last one is used)
     - coefficients at the chosen alpha: coef = V (s / (s^2 + alpha) * U^T yc)
     """
-    x = design.matrix if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    x = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]

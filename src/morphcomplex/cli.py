@@ -79,13 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                 config.out_dir,
             )
         if args.command in ("analyze", "run-all"):
-            analyze = run_analyze(config.out_dir, config)
-            log.info(
-                "analyze stage: %d correlation matrices, %d ridge targets, %d skipped analyses",
-                len(analyze.correlations),
-                len(analyze.ridge_rows),
-                len(analyze.errors),
-            )
+            run_analyze(config.out_dir, config)
         if args.command in ("plot", "run-all"):
             written = run_plot(config.out_dir)
             log.info("plot stage: wrote %s", ", ".join(written))

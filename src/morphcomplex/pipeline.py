@@ -19,9 +19,7 @@ import numpy as np
 from . import svgplot
 from .analysis import (
     DEFAULT_ALPHA_GRID,
-    CorrelationMatrix,
     MeasureMatrix,
-    PcaResult,
     correlation_matrix,
     pca,
     ridge_loocv,
@@ -322,16 +320,11 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     return matrix, languages, seed
 
 
-@dataclass
-class AnalyzeResult:
-    correlations: dict[str, CorrelationMatrix]
-    pca_result: PcaResult | None
-    ridge_rows: list[list[str]]
-    errors: dict[str, str]
+def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
+    """Correlations, PCA and WALS ridge regression over the measure TSV.
 
-
-def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
-    """Correlations, PCA and WALS ridge regression over the measure TSV."""
+    Returns the skipped analyses, each with the reason it was skipped.
+    """
     from .wals import encode, load_wals, match_rows
 
     matrix, languages, seed = read_measure_matrix(out_dir)
@@ -339,23 +332,20 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
-    correlations: dict[str, CorrelationMatrix] = {}
     corr_rows: list[list[str]] = []
     for method in ("pearson", "spearman"):
         cm = correlation_matrix(matrix, method)
-        correlations[method] = cm
-        for i, mi in enumerate(cm.measures):
-            for j in range(i, len(cm.measures)):
-                corr_rows.append(
-                    [
-                        method,
-                        mi,
-                        cm.measures[j],
-                        _fmt(cm.values[i, j]),
-                        "true" if cm.significant[i, j] else "false",
-                        str(int(cm.n_complete[i, j])),
-                    ]
-                )
+        for i, j in zip(*np.triu_indices(len(cm.measures))):
+            corr_rows.append(
+                [
+                    method,
+                    cm.measures[i],
+                    cm.measures[j],
+                    _fmt(cm.values[i, j]),
+                    "true" if cm.significant[i, j] else "false",
+                    str(cm.n_complete[i, j]),
+                ]
+            )
     _write_tsv(
         os.path.join(out_dir, CORRELATIONS_TSV),
         meta,
@@ -363,11 +353,11 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
         corr_rows,
     )
 
-    pca_result: PcaResult | None = None
+    pca_result = None
     complete = matrix.complete_rows()
     if int(complete.sum()) >= 2:
         try:
-            z, _, _ = standardize(matrix.values[complete], matrix.measures)
+            z = standardize(matrix.values[complete], matrix.measures)
             orient = matrix.measures.index("ttr") if "ttr" in matrix.measures else 0
             pca_result = pca(z, orient_column=orient)
         except ValueError as exc:
@@ -401,12 +391,12 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
         targets = np.hstack([targets, pc_columns])
         target_names += pc_names
 
-    ridge_rows: list[list[str]] = []
+    ridge_rows: dict[str, list[str]] = {}
     if config.wals_csv is not None:
         with open(config.wals_csv, encoding="utf-8") as f:
             records = load_wals(f.read())
         # Targets over the same languages share one design and one ridge fit.
-        row_sets: dict[tuple[str, ...], list[tuple[str, np.ndarray]]] = {}
+        row_sets: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
         tb_codes = np.array([languages.get(tb, "") for tb in matrix.treebank_ids])
         for name, column in zip(target_names, targets.T):
             rows = ~np.isnan(column)
@@ -414,26 +404,22 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
                 codes, values = match_rows(
                     records, tb_codes[rows], column[rows], config.wals_rows == "per-language"
                 )
-                target, _, _ = standardize(values, [name])
+                row_sets.setdefault(codes, {})[name] = standardize(values, [name])
             except ValueError as exc:
                 errors[f"ridge:{name}"] = str(exc)
-                continue
-            row_sets.setdefault(codes, []).append((name, target[:, 0]))
         for codes, columns in row_sets.items():
-            report = ridge_loocv(encode(records, codes), np.column_stack([t for _, t in columns]))
-            for k, (name, _) in enumerate(columns):
-                ridge_rows.append(
-                    [
-                        name,
-                        str(len(codes)),
-                        _fmt(float(report.rmse[k])),
-                        _fmt(float(report.error_reduction[k])),
-                        ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
-                    ]
-                )
-        ridge_rows.sort(key=lambda row: target_names.index(row[0]))
+            report = ridge_loocv(encode(records, codes).matrix, np.hstack([*columns.values()]))
+            for k, name in enumerate(columns):
+                ridge_rows[name] = [
+                    name,
+                    str(len(codes)),
+                    _fmt(float(report.rmse[k])),
+                    _fmt(float(report.error_reduction[k])),
+                    ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
+                ]
         ridge_header = ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"]
-        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ridge_rows)
+        ordered = [ridge_rows[name] for name in target_names if name in ridge_rows]
+        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ordered)
 
     _write_json(
         os.path.join(out_dir, ANALYZE_META_JSON),
@@ -446,18 +432,21 @@ def run_analyze(out_dir: str, config: RunConfig) -> AnalyzeResult:
     )
     for name, message in errors.items():
         log.warning("analysis %s skipped: %s", name, message)
-    return AnalyzeResult(correlations, pca_result, ridge_rows, errors)
+    log.info("analyze stage: %d ridge targets, %d skipped analyses", len(ridge_rows), len(errors))
+    return errors
 
 
 def run_plot(out_dir: str) -> list[str]:
     """Render SVG figures from the analysis TSVs; returns written paths."""
     written: list[str] = []
+
+    def write(name: str, svg: str):
+        written.append(os.path.join(out_dir, name))
+        _write_atomic(written[-1], svg)
+
     matrix, _, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, PCA_SVG, WALS_ERROR_SVG)
-    svg = svgplot.measure_panels(matrix, seed=seed)
-    path = os.path.join(out_dir, MEASURES_SVG)
-    _write_atomic(path, svg)
-    written.append(path)
+    write(MEASURES_SVG, svgplot.measure_panels(matrix, seed=seed))
 
     scores_path = os.path.join(out_dir, PCA_SCORES_TSV)
     pca_path = os.path.join(out_dir, PCA_TSV)
@@ -469,10 +458,7 @@ def run_plot(out_dir: str) -> list[str]:
             y = [float(r[2]) for r in rows]
             _, _, pca_rows_ = _read_tsv(pca_path)
             ratios = [float(r[1]) for r in pca_rows_]
-            svg = svgplot.pca_scatter(x, y, ids, ratios[0], ratios[1], seed=seed)
-            path = os.path.join(out_dir, PCA_SVG)
-            _write_atomic(path, svg)
-            written.append(path)
+            write(PCA_SVG, svgplot.pca_scatter(x, y, ids, ratios[0], ratios[1], seed=seed))
 
     ridge_path = os.path.join(out_dir, RIDGE_TSV)
     if os.path.exists(ridge_path):
@@ -480,8 +466,5 @@ def run_plot(out_dir: str) -> list[str]:
         if rows:
             names = [r[0] for r in rows]
             values = [float(r[3]) for r in rows]
-            svg = svgplot.error_reduction_bars(names, values, seed=seed)
-            path = os.path.join(out_dir, WALS_ERROR_SVG)
-            _write_atomic(path, svg)
-            written.append(path)
+            write(WALS_ERROR_SVG, svgplot.error_reduction_bars(names, values, seed=seed))
     return written

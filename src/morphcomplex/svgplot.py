@@ -11,20 +11,45 @@ from .analysis import MeasureMatrix
 
 log = logging.getLogger(__name__)
 
-_FONT = "font-family=\"sans-serif\""
-
-
 def _num(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
+def _text(x: float, y: float, size: int, content: str, extra: str = "") -> str:
+    """Escaped sans-serif text; ``extra`` holds the attributes after ``font-size``."""
+    extra = f" {extra}" if extra else ""
+    return (
+        f'<text x="{_num(x)}" y="{_num(y)}" font-family="sans-serif" font-size="{size}"{extra}>'
+        f"{escape(content, quote=False)}</text>"
+    )
+
+
+def _y_label(height: float, content: str) -> str:
+    """Axis label rotated to run up the left edge."""
+    rotate = f'text-anchor="middle" transform="rotate(-90 16 {_num(height / 2)})"'
+    return _text(16, height / 2, 12, content, rotate)
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "black") -> str:
+    return (
+        f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+        f'stroke="{stroke}" stroke-width="1"/>'
+    )
+
+
+def _dot(cx: float, cy: float) -> str:
+    return f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="steelblue"/>'
+
+
 def _document(width: float, height: float, body: list[str], seed: int) -> str:
+    """The SVG around ``body``; an empty body reads "no data"."""
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_num(width)} {_num(height)}" '
         f'width="{_num(width)}" height="{_num(height)}">',
         f"<!-- seed: {seed} -->",
         f'<rect x="0" y="0" width="{_num(width)}" height="{_num(height)}" fill="white"/>',
     ]
+    body = body or ['<text x="10" y="30">no data</text>']
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
@@ -50,7 +75,7 @@ def measure_panels(matrix: MeasureMatrix, seed: int = 0) -> str:
         panels.append((measure, present))
 
     if not panels:
-        return _document(200, 60, ['<text x="10" y="30">no data</text>'], seed)
+        return _document(200, 60, [], seed)
 
     n_cols = 2 if len(panels) > 1 else 1
     n_rows = (len(panels) + n_cols - 1) // n_cols
@@ -70,33 +95,19 @@ def measure_panels(matrix: MeasureMatrix, seed: int = 0) -> str:
         mean = float(np.mean(vals))
         x0, x1 = px + label_w, px + panel_w - 10.0
         y0 = py + 28.0
-        body.append(
-            f'<text x="{_num(px)}" y="{_num(py + 14)}" {_FONT} font-size="13" '
-            f'font-weight="bold">{escape(measure, quote=False)}</text>'
-        )
+        body.append(_text(px, py + 14, 13, measure, 'font-weight="bold"'))
         mx = _scale(mean, lo, hi, x0, x1)
         y_bottom = y0 + len(values) * row_height
-        body.append(
-            f'<line x1="{_num(mx)}" y1="{_num(y0 - 6)}" x2="{_num(mx)}" '
-            f'y2="{_num(y_bottom)}" stroke="gray" stroke-width="1"/>'
-        )
+        body.append(_line(mx, y0 - 6, mx, y_bottom, stroke="gray"))
         # highest value on top, like a ranking
         for rank, (tb, v) in enumerate(reversed(values)):
             cy = y0 + rank * row_height + row_height / 2.0
             cx = _scale(v, lo, hi, x0, x1)
-            body.append(
-                f'<text x="{_num(px)}" y="{_num(cy + 3)}" {_FONT} font-size="9">'
-                f"{escape(tb, quote=False)}</text>"
-            )
-            body.append(f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="steelblue"/>')
+            body.append(_text(px, cy + 3, 9, tb))
+            body.append(_dot(cx, cy))
         axis_y = y_bottom + 14.0
-        body.append(
-            f'<text x="{_num(x0)}" y="{_num(axis_y)}" {_FONT} font-size="9">{_num(lo)}</text>'
-        )
-        body.append(
-            f'<text x="{_num(x1)}" y="{_num(axis_y)}" {_FONT} font-size="9" '
-            f'text-anchor="end">{_num(hi)}</text>'
-        )
+        body.append(_text(x0, axis_y, 9, _num(lo)))
+        body.append(_text(x1, axis_y, 9, _num(hi), 'text-anchor="end"'))
     return _document(width, height, body, seed)
 
 
@@ -113,32 +124,15 @@ def pca_scatter(
     pad = 56.0
     lo_x, hi_x = min(x), max(x)
     lo_y, hi_y = min(y), max(y)
-    body: list[str] = []
-    body.append(
-        f'<line x1="{_num(pad)}" y1="{_num(height - pad)}" x2="{_num(width - pad)}" '
-        f'y2="{_num(height - pad)}" stroke="black" stroke-width="1"/>'
-    )
-    body.append(
-        f'<line x1="{_num(pad)}" y1="{_num(pad)}" x2="{_num(pad)}" '
-        f'y2="{_num(height - pad)}" stroke="black" stroke-width="1"/>'
-    )
+    body = [_line(pad, height - pad, width - pad, height - pad), _line(pad, pad, pad, height - pad)]
     for xi, yi, label in zip(x, y, labels):
         cx = _scale(xi, lo_x, hi_x, pad + 12, width - pad - 12)
         cy = _scale(yi, lo_y, hi_y, height - pad - 12, pad + 12)
-        body.append(f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="3" fill="steelblue"/>')
-        body.append(
-            f'<text x="{_num(cx + 5)}" y="{_num(cy + 3)}" {_FONT} font-size="9">'
-            f"{escape(label, quote=False)}</text>"
-        )
-    body.append(
-        f'<text x="{_num(width / 2)}" y="{_num(height - 16)}" {_FONT} font-size="12" '
-        f'text-anchor="middle">component 1 ({ratio_x * 100:.2f}% of variance)</text>'
-    )
-    body.append(
-        f'<text x="16" y="{_num(height / 2)}" {_FONT} font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_num(height / 2)})">'
-        f"component 2 ({ratio_y * 100:.2f}% of variance)</text>"
-    )
+        body.append(_dot(cx, cy))
+        body.append(_text(cx + 5, cy + 3, 9, label))
+    x_label = f"component 1 ({ratio_x * 100:.2f}% of variance)"
+    body.append(_text(width / 2, height - 16, 12, x_label, 'text-anchor="middle"'))
+    body.append(_y_label(height, f"component 2 ({ratio_y * 100:.2f}% of variance)"))
     return _document(width, height, body, seed)
 
 
@@ -152,10 +146,7 @@ def error_reduction_bars(names: list[str], values: list[float], seed: int = 0) -
     hi = max(max(values), 0.0)
     lo = min(min(values), 0.0)
     zero_y = _scale(0.0, lo, hi, floor, top)
-    body = [
-        f'<line x1="{_num(pad - 8)}" y1="{_num(zero_y)}" x2="{_num(width - pad + 8)}" '
-        f'y2="{_num(zero_y)}" stroke="black" stroke-width="1"/>'
-    ]
+    body = [_line(pad - 8, zero_y, width - pad + 8, zero_y)]
     for i, (name, value) in enumerate(zip(names, values)):
         x = pad + i * (bar_w + gap)
         vy = _scale(value, lo, hi, floor, top)
@@ -165,16 +156,7 @@ def error_reduction_bars(names: list[str], values: list[float], seed: int = 0) -
             f'<rect x="{_num(x)}" y="{_num(y)}" width="{_num(bar_w)}" height="{_num(h)}" '
             f'fill="steelblue"/>'
         )
-        body.append(
-            f'<text x="{_num(x + bar_w / 2)}" y="{_num(y - 4)}" {_FONT} font-size="10" '
-            f'text-anchor="middle">{value:.2f}</text>'
-        )
-        body.append(
-            f'<text x="{_num(x + bar_w / 2)}" y="{_num(floor + 16)}" {_FONT} font-size="11" '
-            f'text-anchor="middle">{escape(name, quote=False)}</text>'
-        )
-    body.append(
-        f'<text x="16" y="{_num(height / 2)}" {_FONT} font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_num(height / 2)})">error reduction</text>'
-    )
+        body.append(_text(x + bar_w / 2, y - 4, 10, f"{value:.2f}", 'text-anchor="middle"'))
+        body.append(_text(x + bar_w / 2, floor + 16, 11, name, 'text-anchor="middle"'))
+    body.append(_y_label(height, "error reduction"))
     return _document(width, height, body, seed)

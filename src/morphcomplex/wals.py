@@ -33,7 +33,6 @@ class WalsRecord:
 class DesignMatrix:
     matrix: np.ndarray
     column_names: tuple[str, ...]
-    row_codes: tuple[str, ...]
 
 
 def load_wals(
@@ -171,4 +170,4 @@ def encode(
             value = rec.values.get(fid) if rec is not None else None
             cat = value if value is not None else MISSING_CATEGORY
             matrix[r, col_of[(fid, cat)]] = 1.0
-    return DesignMatrix(matrix, tuple(column_names), tuple(languages))
+    return DesignMatrix(matrix, tuple(column_names))
