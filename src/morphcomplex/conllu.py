@@ -8,6 +8,7 @@ Files are streamed line by line, never held whole.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -137,9 +138,17 @@ def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = 
     except UnicodeDecodeError as exc:
         # The decoder's offset counts from its last block, so rescan for the line:
         # a line is UTF-8 when decoding with replacement gives it back unchanged.
+        # Some line fails, since no UTF-8 sequence holds a "\n" byte.
         with open(path, "rb") as f:
             valid = (line.decode("utf-8", "replace").encode("utf-8") == line for line in f)
-            line_no = next((n for n, ok in enumerate(valid, start=1) if not ok), 0)
+            line_no = next(n for n, ok in enumerate(valid, start=1) if not ok)
+        # The decoder reads ahead, so a malformed line before the bad one is reported first.
+        with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as f:
+            try:
+                _parse_lines(itertools.islice(f, line_no - 1), id, language_code, lowercase)
+            except ConlluParseError as earlier:
+                if earlier.line_no:  # line 0: no token before the bad line
+                    raise
         raise ConlluParseError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
 
 

@@ -161,6 +161,16 @@ class TestFile:
             parse_conllu_file(str(path), "x", "xx")
         assert err.value.line_no == line_no
 
+    def test_earlier_malformed_line_wins_over_invalid_utf8(self, tmp_path):
+        """The decoder reads the bad byte on line 5 before line 2 is parsed."""
+        lines = SIMPLE.encode("utf-8").split(b"\n")
+        lines[1] = b"1\tonly-two"
+        lines[4] = b"\xff" + lines[4]
+        path = tmp_path / "two-defects.conllu"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ConlluParseError, match="^line 2: expected 10 columns, got 2$"):
+            parse_conllu_file(str(path), "x", "xx")
+
 
 @st.composite
 def sentence_shapes(draw):
