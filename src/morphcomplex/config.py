@@ -55,6 +55,12 @@ def _parse_int(key: str, value: str) -> int:
         raise ValueError(f"config key {key}: expected an integer, got {value!r}") from None
 
 
+def _parse_choice(key: str, value: str, first: str, second: str) -> str:
+    if value not in (first, second):
+        raise ValueError(f"config key {key}: expected {first!r} or {second!r}, got {value!r}")
+    return value
+
+
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     """Parse the flat key = value run configuration.
 
@@ -86,47 +92,37 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    sample = SampleConfig(
-        target_tokens=_parse_int("target_tokens", raw.get("target_tokens", "20000")),
-        repetitions=_parse_int("repetitions", raw.get("repetitions", "100")),
-        seed=_parse_int("seed", raw.get("seed", "0")),
-    )
+    def ints(*keys: str) -> dict[str, int]:
+        """The integer values the file sets among ``keys``; the rest keep their defaults."""
+        return {key: _parse_int(key, raw[key]) for key in keys if key in raw}
+
+    settings: dict[str, object] = ints("jobs")
+    if "wals" in raw:
+        settings["wals_csv"] = resolve(raw["wals"])
+    if "measures" in raw:
+        measures = tuple(s.strip() for s in raw["measures"].split(",") if s.strip())
+        unknown = [m for m in measures if m not in ALL_MEASURES]
+        if unknown:
+            raise ValueError(f"config key measures: unknown measure names {unknown}")
+        settings["measures"] = measures
+    if "lowercase" in raw:
+        settings["lowercase"] = _parse_bool("lowercase", raw["lowercase"])
+    if "is_unit" in raw:
+        is_unit = _parse_choice("is_unit", raw["is_unit"], "keys", "pairs")
+        settings["is_count_values"] = is_unit == "pairs"
+    if "wals_rows" in raw:
+        wals_rows = _parse_choice("wals_rows", raw["wals_rows"], "per-treebank", "per-language")
+        settings["wals_rows"] = wals_rows
     script_ids = frozenset(
         s.strip() for s in raw.get("script_exclude", "").split(",") if s.strip()
     )
-    exclusions = ExclusionConfig(
-        min_feature_keys=_parse_int("min_feature_keys", raw.get("min_feature_keys", "3")),
-        script_excluded_ids=script_ids,
-    )
-    measures = tuple(
-        s.strip() for s in raw.get("measures", ",".join(ALL_MEASURES)).split(",") if s.strip()
-    )
-    unknown = [m for m in measures if m not in ALL_MEASURES]
-    if unknown:
-        raise ValueError(f"config key measures: unknown measure names {unknown}")
-
-    is_unit = raw.get("is_unit", "keys")
-    if is_unit not in ("keys", "pairs"):
-        raise ValueError(f"config key is_unit: expected 'keys' or 'pairs', got {is_unit!r}")
-
-    wals_rows = raw.get("wals_rows", "per-treebank")
-    if wals_rows not in ("per-treebank", "per-language"):
-        raise ValueError(
-            f"config key wals_rows: expected 'per-treebank' or 'per-language', got {wals_rows!r}"
-        )
-
     return RunConfig(
         manifest=resolve(raw["manifest"]),
         out_dir=resolve(raw["out"]),
-        wals_csv=resolve(raw["wals"]) if "wals" in raw else None,
-        sample=sample,
-        exclusions=exclusions,
-        ia_search=IASearchConfig(n_draws=_parse_int("ia_draws", raw.get("ia_draws", "20"))),
-        measures=measures,
-        lowercase=_parse_bool("lowercase", raw.get("lowercase", "false")),
-        is_count_values=(is_unit == "pairs"),
-        wals_rows=wals_rows,
-        jobs=_parse_int("jobs", raw.get("jobs", "1")),
+        sample=SampleConfig(**ints("target_tokens", "repetitions", "seed")),
+        exclusions=ExclusionConfig(script_excluded_ids=script_ids, **ints("min_feature_keys")),
+        ia_search=IASearchConfig(*ints("ia_draws").values()),  # n_draws, its only field
+        **settings,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -238,10 +238,12 @@ def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
 
 @dataclass(frozen=True)
 class IASearchConfig:
-    n_folds: int = 3
+    """``n_draws`` random (n-gram order, epochs) draws, each scored by cross validation."""
+
     n_draws: int = 20
-    ngram_range: tuple[int, int] = (1, 4)
-    epoch_range: tuple[int, int] = (5, 30)
+    n_folds: ClassVar[int] = 3
+    ngram_range: ClassVar[tuple[int, int]] = (1, 4)
+    epoch_range: ClassVar[tuple[int, int]] = (5, 30)
 
 
 @dataclass(frozen=True)
