@@ -391,7 +391,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         targets = np.hstack([targets, pc_columns])
         target_names += pc_names
 
-    ridge_rows: dict[str, list[str]] = {}
+    ridge_rows: list[list[str]] = []
     if config.wals_csv is not None:
         with open(config.wals_csv, encoding="utf-8") as f:
             records = load_wals(f.read())
@@ -410,16 +410,18 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         for codes, columns in row_sets.items():
             report = ridge_loocv(encode(records, codes).matrix, np.hstack([*columns.values()]))
             for k, name in enumerate(columns):
-                ridge_rows[name] = [
-                    name,
-                    str(len(codes)),
-                    _fmt(float(report.rmse[k])),
-                    _fmt(float(report.error_reduction[k])),
-                    ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
-                ]
+                ridge_rows.append(
+                    [
+                        name,
+                        str(len(codes)),
+                        _fmt(float(report.rmse[k])),
+                        _fmt(float(report.error_reduction[k])),
+                        ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
+                    ]
+                )
+        ridge_rows.sort(key=lambda row: target_names.index(row[0]))
         ridge_header = ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"]
-        ordered = [ridge_rows[name] for name in target_names if name in ridge_rows]
-        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ordered)
+        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ridge_rows)
 
     _write_json(
         os.path.join(out_dir, ANALYZE_META_JSON),

@@ -11,6 +11,7 @@ from .analysis import MeasureMatrix
 
 log = logging.getLogger(__name__)
 
+
 def _num(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
