@@ -5,8 +5,9 @@ singular value decomposition of the centered matrix, and ridge regression
 evaluated with nested leave-one-out cross validation.  Everything here works
 on plain arrays and knows nothing of WALS; ``wals`` builds the design
 matrices that ``ridge_loocv`` is given.  The flag's Student-t
-tail has a closed form at integer degrees of freedom; computing it with
-``math`` keeps scipy, which doubled a run's start-up, out of analysis.
+tail has a closed form at integer degrees of freedom and is computed with
+``math``; the package does not use scipy, which only the tests use as a
+reference.
 """
 
 from __future__ import annotations

@@ -116,6 +116,7 @@ class InflectionModel:
     ``weights[feature_ids[f], c]`` is the weight of feature ``f`` for class
     ``c`` summed over every training step, which is the averaged weight
     times the step count and so ranks the classes as the average does.
+    A feature that no training instance has weighs zero.
     """
 
     scripts: tuple[EditScript, ...]
@@ -126,34 +127,103 @@ class InflectionModel:
 
 # Instances scored per argmax; a mistake ends a block early.  Fastest size.
 _BLOCK = 32
+# Features on more than this many entries take the Gram matrix's dense
+# product; the rest add one per pair of their entries.
+_DENSE = 64
+# Rows (or nonzero entries) per block of the blocked products.
+_ROWS = 256
 
 
-def _count_matrix(feats: Sequence[Sequence[str]], ids: dict[str, int]):
-    """Sparse instance-by-feature counts; a feature new to ``ids`` gets the next id."""
-    import scipy.sparse
+@dataclass(frozen=True)
+class FeatureRows:
+    """Instance-by-feature counts in CSR form: row ``r`` lists the feature
+    ids ``cols[indptr[r] : indptr[r + 1]]``, a repeated feature once per
+    occurrence.  ``ids`` interns the feature strings and may hold features
+    that no row here uses."""
 
+    ids: dict[str, int]
+    indptr: np.ndarray
+    cols: np.ndarray
+
+    def take(self, rows: np.ndarray) -> FeatureRows:
+        """The given rows, in the given order, over the same ``ids``."""
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        starts = np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        return FeatureRows(self.ids, indptr, self.cols[starts + np.arange(indptr[-1])])
+
+
+def _count_matrix(feats: Sequence[Sequence[str]], ids: dict[str, int]) -> FeatureRows:
+    """Rows of ``feats`` interned by ``ids``; a feature new to ``ids`` gets the next id."""
     cols = np.fromiter((ids.setdefault(f, len(ids)) for x in feats for f in x), dtype=np.int64)
-    indptr = np.cumsum([0] + [len(x) for x in feats])
-    x = scipy.sparse.csr_array((np.ones_like(cols), cols, indptr), shape=(len(feats), len(ids)))
-    x.sum_duplicates()
-    return x
+    return FeatureRows(ids, np.cumsum([0] + [len(x) for x in feats]), cols)
 
 
-def _gram(x) -> np.ndarray:
-    """Dense ``x @ x.T`` in the smallest unsigned type holding its largest
-    (diagonal) entry, multiplied in row blocks to keep the products small."""
-    top = x.multiply(x).sum(axis=1).max(initial=0)
-    gram = np.empty((x.shape[0],) * 2, dtype=np.min_scalar_type(top))
-    for r in range(0, x.shape[0], 128):
-        gram[r : r + 128] = (x[r : r + 128] @ x.T).toarray()
+def _gram(x: FeatureRows) -> np.ndarray:
+    """Exact ``X @ X.T`` in the smallest unsigned type holding its largest
+    (diagonal) entry.  Features on more than ``_DENSE`` entries are
+    multiplied as a dense float matrix in row blocks, exact since every sum
+    is an integer no larger than that entry: float32 below 2**24.  Each other feature adds 1 to ``G[a, b]``
+    for every pair of its entries on rows a and b, so a feature counted
+    twice on a row adds 2 * 2 to its diagonal."""
+    n, n_ids = len(x.indptr) - 1, len(x.ids)
+    rows = np.repeat(np.arange(n), np.diff(x.indptr))
+    cells, counts = np.unique(rows * n_ids + x.cols, return_counts=True)
+    top = np.bincount(cells // n_ids, counts * counts, minlength=n).max(initial=0)
+    gram = np.empty((n, n), dtype=np.min_scalar_type(int(top)))
+    per_feature = np.bincount(x.cols, minlength=n_ids)
+    dense = per_feature > _DENSE
+    on = dense[x.cols]
+    xd = np.zeros((n, int(dense.sum())), dtype=np.float32 if top < 2**24 else np.float64)
+    xd_flat = rows[on] * xd.shape[1] + (np.cumsum(dense) - 1)[x.cols[on]]
+    np.add.at(xd.reshape(-1), xd_flat, np.ones(len(xd_flat), xd.dtype))
+    for r in range(0, n, _ROWS):
+        gram[r : r + _ROWS] = xd[r : r + _ROWS] @ xd.T
+    # The sparse features' entries grouped by feature; a pass over _ROWS
+    # groups enumerates at most _ROWS * _DENSE**2 pairs.
+    grouped = rows[~on][np.argsort(x.cols[~on], kind="stable")]
+    sizes = per_feature[(per_feature > 0) & ~dense]
+    starts = np.cumsum(sizes) - sizes
+    for g in range(0, len(sizes), _ROWS):
+        pairs = sizes[g : g + _ROWS] ** 2
+        k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        first = np.repeat(starts[g : g + _ROWS], pairs)
+        size = np.repeat(sizes[g : g + _ROWS], pairs)
+        flat = grouped[first + k // size] * n + grouped[first + k % size]
+        np.add.at(gram.reshape(-1), flat, np.ones(len(flat), gram.dtype))
     return gram
+
+
+def _transposed_times(
+    x: FeatureRows, rows: np.ndarray, classes: np.ndarray, values: np.ndarray, n_classes: int
+) -> np.ndarray:
+    """Exact int64 ``X.T @ D`` for the rows x ``n_classes`` matrix ``D``
+    given by its nonzero entries ``D[rows, classes] += values``, one block
+    of entries at a time."""
+    out = np.zeros((len(x.ids), n_classes), dtype=np.int64)
+    for lo in range(0, len(rows), _ROWS):
+        block = x.take(rows[lo : lo + _ROWS])
+        lengths = np.diff(block.indptr)
+        flat = block.cols * n_classes + np.repeat(classes[lo : lo + _ROWS], lengths)
+        np.add.at(out.reshape(-1), flat, np.repeat(values[lo : lo + _ROWS], lengths))
+    return out
+
+
+def _times(x: FeatureRows, weights: np.ndarray) -> np.ndarray:
+    """Exact int64 ``X @ weights`` in row blocks; no row of ``x`` may be empty."""
+    n = len(x.indptr) - 1
+    out = np.empty((n, weights.shape[1]), dtype=np.int64)
+    for r in range(0, n, _ROWS):
+        block = x.take(np.arange(r, min(r + _ROWS, n)))
+        out[r : r + _ROWS] = np.add.reduceat(weights[block.cols], block.indptr[:-1])
+    return out
 
 
 def train(
     instances: Sequence[InflectionInstance],
     params: Hyperparams,
     rng: np.random.Generator,
-    feature_cache: Sequence[Sequence[str]] | None = None,
+    rows: FeatureRows | None = None,
     script_cache: Sequence[EditScript] | None = None,
     gram: np.ndarray | None = None,
 ) -> InflectionModel:
@@ -178,15 +248,13 @@ def train(
     classes = tuple(sorted(set(scripts)))
     class_index = {s: i for i, s in enumerate(classes)}
     labels = np.array([class_index[s] for s in scripts])
-    feats = feature_cache or [
-        featurize(i.lemma, i.feature_bundle, params.ngram_order) for i in instances
-    ]
-    feature_ids: dict[str, int] = {}
-    x = _count_matrix(feats, feature_ids)
+    if rows is None:
+        feats = [featurize(i.lemma, i.feature_bundle, params.ngram_order) for i in instances]
+        rows = _count_matrix(feats, {})
     n = len(instances)
     mistakes: list[tuple[int, int, int, int]] = []  # (instance, gold, predicted, step)
     if len(classes) > 1:
-        gram = _gram(x) if gram is None else gram
+        gram = _gram(rows) if gram is None else gram
         scores = np.zeros((len(classes), n), dtype=np.int64)
         for epoch in range(params.epochs):
             order = rng.permutation(n)
@@ -205,21 +273,18 @@ def train(
                 pos += k + 1
                 mistakes.append((j, g, c, epoch * n + pos))
     j, g, c, t = np.array(mistakes, dtype=np.int64).reshape(-1, 4).T
-    dual = np.zeros((n, len(classes)), dtype=np.int64)
-    np.add.at(dual, (j, g), params.epochs * n - t)
-    np.add.at(dual, (j, c), t - params.epochs * n)
-    return InflectionModel(classes, feature_ids, x.T @ dual, params)
+    left = params.epochs * n - t
+    weights = _transposed_times(rows, np.r_[j, j], np.r_[g, c], np.r_[left, -left], len(classes))
+    return InflectionModel(classes, rows.ids, weights, params)
 
 
-def predict_batch(
-    model: InflectionModel, lemmas: Sequence[str], feats: Sequence[Sequence[str]]
-) -> list[str]:
-    """Apply to each lemma, given its features, the best-scoring edit script
-    that fits it; features unseen in training count zero.  If no script
-    fits, the top one is applied with clamped drops so prediction is total.
+def predict_batch(model: InflectionModel, lemmas: Sequence[str], rows: FeatureRows) -> list[str]:
+    """Apply to each lemma, given its row of features interned by
+    ``model.feature_ids``, the best-scoring edit script that fits it.  If no
+    script fits, the top one is applied with clamped drops so prediction is
+    total.
     """
-    x = _count_matrix(feats, dict(model.feature_ids))[:, : len(model.feature_ids)]
-    scores = x @ model.weights
+    scores = _times(rows, model.weights)
     drops = np.array([s.prefix_drop + s.suffix_drop for s in model.scripts])
     fits = drops <= np.array([len(lemma) for lemma in lemmas])[:, None]
     best = np.where(fits, scores, np.iinfo(np.int64).min).argmax(axis=1)
@@ -231,9 +296,11 @@ def predict_batch(
 
 
 def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
-    """``predict_batch`` for one lemma and feature bundle."""
-    feats = featurize(lemma, feature_bundle, model.params.ngram_order)
-    return predict_batch(model, [lemma], [feats])[0]
+    """``predict_batch`` for one lemma and feature bundle; features unseen in
+    training count zero."""
+    known = model.feature_ids
+    feats = [f for f in featurize(lemma, feature_bundle, model.params.ngram_order) if f in known]
+    return predict_batch(model, [lemma], _count_matrix([feats], known))[0]
 
 
 @dataclass(frozen=True)
@@ -265,42 +332,47 @@ def cross_validate(
 
     Instances are shuffled once and split into folds round-robin; every
     draw is evaluated on the same folds with its own derived generator, so
-    draws are run grouped by n-gram order, sharing its Gram matrix, without
-    changing the result.  Ties between draws break toward the earlier draw.
+    draws are run grouped by n-gram order and fold without changing the
+    result.  Each order featurizes and interns the instances once, and each
+    fold trains and scores on row slices of that one matrix and of its Gram
+    matrix.  Ties between draws break toward the earlier draw.
     """
     if len(instances) < config.n_folds:
         raise ValueError(f"need at least {config.n_folds} instances, got {len(instances)}")
     root = int(rng.integers(0, 2**63))
     order = np.random.default_rng([root, 1]).permutation(len(instances))
-    folds = [order[f :: config.n_folds].tolist() for f in range(config.n_folds)]
+    folds = [order[f :: config.n_folds] for f in range(config.n_folds)]
+    splits = [
+        (np.concatenate([folds[g] for g in range(config.n_folds) if g != f]), folds[f])
+        for f in range(config.n_folds)
+    ]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
-    lemmas = [i.lemma for i in instances]
     ranges = (config.ngram_range, config.epoch_range)
     draws = [
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
         for g in (np.random.default_rng([root, 2, d]) for d in range(config.n_draws))
     ]
-    fold_acc: dict[int, list[float]] = {}
+    fold_acc = [[0.0] * config.n_folds for _ in draws]
     for k in sorted({p.ngram_order for p in draws}):
-        feats = [featurize(i.lemma, i.feature_bundle, k) for i in instances]
-        gram = _gram(_count_matrix(feats, {}))
-        for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
-            fold_acc[draw] = []
-            for f in range(config.n_folds):
-                test_idx = folds[f]
-                train_idx = [i for g in range(config.n_folds) if g != f for i in folds[g]]
+        x = _count_matrix([featurize(i.lemma, i.feature_bundle, k) for i in instances], {})
+        gram = _gram(x)
+        for f, (train_idx, test_idx) in enumerate(splits):
+            train_set = [instances[i] for i in train_idx.tolist()]
+            train_scripts = [scripts[i] for i in train_idx.tolist()]
+            train_rows, train_gram = x.take(train_idx), gram[np.ix_(train_idx, train_idx)]
+            test_rows, test_set = x.take(test_idx), [instances[i] for i in test_idx.tolist()]
+            for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 model = train(
-                    [instances[i] for i in train_idx],
+                    train_set,
                     draws[draw],
                     np.random.default_rng([root, 3, draw, f]),
-                    feature_cache=[feats[i] for i in train_idx],
-                    script_cache=[scripts[i] for i in train_idx],
-                    gram=gram.take(train_idx, axis=0).take(train_idx, axis=1),
+                    rows=train_rows,
+                    script_cache=train_scripts,
+                    gram=train_gram,
                 )
-                test_feats = [feats[i] for i in test_idx]
-                predicted = predict_batch(model, [lemmas[i] for i in test_idx], test_feats)
-                correct = sum(p == instances[i].form for p, i in zip(predicted, test_idx))
-                fold_acc[draw].append(correct / len(test_idx))
-    means = [float(np.mean(fold_acc[d])) for d in range(config.n_draws)]
+                predicted = predict_batch(model, [i.lemma for i in test_set], test_rows)
+                correct = sum(p == i.form for p, i in zip(predicted, test_set))
+                fold_acc[draw][f] = correct / len(test_set)
+    means = [float(np.mean(acc)) for acc in fold_acc]
     best = max(range(config.n_draws), key=lambda d: (means[d], -d))
     return IAResult(tuple(fold_acc[best]), means[best], draws[best], config.n_draws)

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -13,6 +10,11 @@ from morphcomplex.inflection import (
     Hyperparams,
     IASearchConfig,
     InflectionInstance,
+    _DENSE,
+    _count_matrix,
+    _gram,
+    _times,
+    _transposed_times,
     canonical_bundle,
     cross_validate,
     derive_edit_script,
@@ -374,17 +376,122 @@ def assert_matches_reference(instances, params, seed):
     return model
 
 
-def test_cli_import_does_not_load_scipy_sparse():
-    """The learner imports ``scipy.sparse`` on first use, so runs without
-    -IA do not pay for it."""
-    import morphcomplex
+def dense(x):
+    """The int64 count matrix of ``FeatureRows`` ``x``."""
+    n = len(x.indptr) - 1
+    out = np.zeros((n, len(x.ids)), dtype=np.int64)
+    np.add.at(out, (np.repeat(np.arange(n), np.diff(x.indptr)), x.cols), 1)
+    return out
 
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morphcomplex.__file__))}
-    code = "import sys, morphcomplex.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+
+def random_rows(seed, n, n_features=60):
+    """Rows of 1-12 features drawn with replacement, so some count 2 or more."""
+    rng = np.random.default_rng(seed)
+    return [[f"f{j}" for j in rng.integers(0, n_features, rng.integers(1, 13))] for _ in range(n)]
+
+
+class TestExactProducts:
+    """The numpy products equal dense int64 references exactly."""
+
+    @staticmethod
+    def threshold_rows(n=150):
+        """Random rows plus ``at`` on exactly ``_DENSE`` rows, ``above`` on
+        one row more, and ``twice`` counted 2 on 100 rows."""
+        rows = random_rows(0, n)
+        for r in range(_DENSE):
+            rows[r].append("at")
+        for r in range(40, 41 + _DENSE):
+            rows[r].append("above")
+        for r in range(100):
+            rows[r] += ["twice", "twice"]
+        return _count_matrix(rows, {})
+
+    @pytest.mark.parametrize(
+        "x, split",
+        [
+            (threshold_rows(), "both"),
+            (_count_matrix(random_rows(1, 200, n_features=5), {}), "dense"),
+            (_count_matrix(random_rows(2, 40, n_features=400), {}), "sparse"),
+            (_count_matrix([["a", "b", "a"]], {}), "sparse"),
+            (_count_matrix([["bias"] + ["x"] * 16, ["bias", "x"]], {}), "sparse"),
+        ],
+        ids=["threshold", "dense", "sparse", "one-instance", "uint16"],
     )
-    assert out.stdout.strip() == "False"
+    def test_gram(self, x, split):
+        on = np.bincount(x.cols) > _DENSE
+        assert split == ("both" if on.any() and not on.all() else "dense" if on.all() else "sparse")
+        reference = dense(x) @ dense(x).T
+        gram = _gram(x)
+        assert gram.dtype == np.min_scalar_type(int(reference.diagonal().max()))
+        assert np.array_equal(gram, reference)
+
+    def test_threshold_rows_straddle_the_dense_split(self):
+        x = self.threshold_rows()
+        entries = np.bincount(x.cols)
+        assert entries[x.ids["at"]] == _DENSE
+        assert entries[x.ids["above"]] == _DENSE + 1
+        assert entries[x.ids["twice"]] == 200
+
+    def test_gram_dtype_widens(self):
+        assert _gram(_count_matrix([["x"] * 15], {})).dtype == np.uint8
+        assert _gram(_count_matrix([["x"] * 16], {})).dtype == np.uint16
+
+    def test_transposed_times(self):
+        x = self.threshold_rows()
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 150, 900)  # repeated (row, class) entries sum
+        classes = rng.integers(0, 7, 900)
+        values = rng.integers(-(10**12), 10**12, 900)
+        d = np.zeros((150, 7), dtype=np.int64)
+        np.add.at(d, (rows, classes), values)
+        got = _transposed_times(x, rows, classes, values, 7)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense(x).T @ d)
+
+    def test_times(self):
+        x = self.threshold_rows(n=600)
+        weights = np.random.default_rng(4).integers(-(10**12), 10**12, (len(x.ids), 9))
+        got = _times(x, weights)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense(x) @ weights)
+
+    def test_features_unseen_in_training_weigh_zero(self):
+        x = _count_matrix(random_rows(5, 60, n_features=200), {})
+        train_idx, test_idx = np.arange(0, 60, 2), np.arange(1, 60, 2)
+        train_rows = x.take(train_idx)
+        assert np.array_equal(dense(train_rows), dense(x)[train_idx])
+        rows = np.arange(30).repeat(3)
+        values = np.arange(90) * 10**9
+        weights = _transposed_times(train_rows, rows, rows % 4, values, 4)
+        unseen = sorted(set(x.take(test_idx).cols.tolist()) - set(train_rows.cols.tolist()))
+        assert unseen and not weights[unseen].any()
+        d = np.zeros((30, 4), dtype=np.int64)
+        np.add.at(d, (rows, rows % 4), values)
+        expected = dense(x)[test_idx] @ (dense(train_rows).T @ d)
+        assert np.array_equal(_times(x.take(test_idx), weights), expected)
+
+    def test_shared_rows_match_own_interning(self):
+        """A model trained on slices of rows interned over every instance
+        scores like one that interned only its training set."""
+        instances = irregular_toy_instances(40, seed=5)
+        params = Hyperparams(3, 6)
+        x = _count_matrix([featurize(i.lemma, i.feature_bundle, 3) for i in instances], {})
+        train_idx = np.arange(0, 120, 3)
+        test_idx = np.setdiff1d(np.arange(120), train_idx)
+        train_set = [instances[i] for i in train_idx]
+        own = train(train_set, params, np.random.default_rng(1))
+        shared = train(train_set, params, np.random.default_rng(1), rows=x.take(train_idx))
+        assert own.scripts == shared.scripts
+        own_weights = {f: own.weights[i].tolist() for f, i in own.feature_ids.items()}
+        zero = [0] * len(own.scripts)
+        assert {f: shared.weights[i].tolist() for f, i in shared.feature_ids.items()} == {
+            f: own_weights.get(f, zero) for f in shared.feature_ids
+        }
+        assert len(shared.feature_ids) > len(own.feature_ids)
+        lemmas = [instances[i].lemma for i in test_idx]
+        assert predict_batch(shared, lemmas, x.take(test_idx)) == [
+            predict(own, instances[i].lemma, instances[i].feature_bundle) for i in test_idx
+        ]
 
 
 class TestPredictBatch:
@@ -400,8 +507,13 @@ class TestPredictBatch:
     @staticmethod
     def check(model, queries):
         lemmas = [lemma for lemma, _ in queries]
-        feats = [featurize(lemma, b, model.params.ngram_order) for lemma, b in queries]
-        assert predict_batch(model, lemmas, feats) == [predict(model, *q) for q in queries]
+        known = model.feature_ids
+        feats = [
+            [f for f in featurize(lemma, b, model.params.ngram_order) if f in known]
+            for lemma, b in queries
+        ]
+        rows = _count_matrix(feats, known)
+        assert predict_batch(model, lemmas, rows) == [predict(model, *q) for q in queries]
 
     def test_held_out_queries(self):
         instances = irregular_toy_instances(80, seed=3)

@@ -486,20 +486,25 @@ def test_invalid_utf8_fails_only_its_treebank(tmp_path):
     assert [r[0] for r in rows if r[2] == "ok"] == [f"tb{i}" for i in range(N_TREEBANKS) if i != 3]
 
 
-def loaded_modules(code, *args):
-    """Run ``code`` in a fresh interpreter; return the sorted ``sys.modules`` names it prints."""
+def fresh_python(code, *args, env=None):
+    """Run ``code`` in a fresh interpreter with ``src`` on its path; return its stdout."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {**os.environ, "PYTHONPATH": os.path.join(repo, "src")}
+    env = {**(os.environ if env is None else env), "PYTHONPATH": os.path.join(repo, "src")}
     out = subprocess.run(
-        [sys.executable, "-c", code + "; print(*sorted(sys.modules))", *args],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, check=True, env=env, timeout=300,
     )
-    return out.stdout.split()
+    return out.stdout
+
+
+def loaded_modules(code, *args):
+    """Run ``code`` in a fresh interpreter; return the sorted ``sys.modules`` names it prints."""
+    return fresh_python(code + "; print(*sorted(sys.modules))", *args).split()
 
 
 def test_cli_import_loads_no_scipy_urllib_or_process_pool():
-    """scipy is -IA's alone, urllib came with an XML escape, and the pool's
-    module is needed only when ``jobs > 1``."""
+    """scipy is only the tests' reference, urllib came with an XML escape,
+    and the pool's module is needed only when ``jobs > 1``."""
     modules = loaded_modules("import sys, morphcomplex.cli")
     assert "morphcomplex.cli" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
@@ -507,18 +512,39 @@ def test_cli_import_loads_no_scipy_urllib_or_process_pool():
     assert "concurrent.futures.process" not in modules
 
 
-def test_run_all_without_neg_ia_loads_no_scipy(release, tmp_path):
-    """Correlations, PCA and ridge run on numpy and ``math`` alone."""
+def test_package_import_loads_no_numpy():
+    """The CLI must pin OpenBLAS's threads before numpy loads, and
+    ``python -m morphcomplex.cli`` imports the package first."""
+    modules = loaded_modules("import sys, morphcomplex")
+    assert "morphcomplex" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_openblas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, morphcomplex.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, env=env).strip() == expected
+
+
+def test_run_all_with_neg_ia_loads_no_scipy(release, tmp_path):
+    """All eight measures, -IA's learner included, and the analyses run
+    on numpy and ``math`` alone."""
     root, _, _, _ = release
     config = tmp_path / "run.cfg"
     config.write_text(
         f"manifest = {root / 'manifest.tsv'}\nwals = {root / 'wals.csv'}\nout = out\n"
-        "target_tokens = 200\nrepetitions = 2\nseed = 7\nmeasures = ttr,ws,wh,lh,msp,is,mfh\n",
+        f"target_tokens = 200\nrepetitions = 2\nseed = 7\nia_draws = 1\n"
+        f"measures = {','.join(ALL_MEASURES)}\n",
         encoding="utf-8",
     )
     code = "import sys; from morphcomplex import cli; assert cli.main(sys.argv[1:]) == 0"
     modules = loaded_modules(code, "run-all", "--config", str(config), "--jobs", "1")
     assert {"correlations.tsv", "pca.tsv", "ridge.tsv"} <= set(os.listdir(tmp_path / "out"))
+    ia = json.loads((tmp_path / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]
+    assert {tb: r["mean_accuracy"] for tb, r in ia.items()} == PINNED_IA_ACCURACY
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
