@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -374,6 +377,19 @@ def assert_matches_reference(instances, params, seed):
             classes, averaged, params.ngram_order, lemma, bundle
         )
     return model
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    """The learner runs on numpy alone, so importing the CLI loads no
+    ``scipy.sparse``."""
+    import morphcomplex
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(morphcomplex.__file__))}
+    code = "import sys, morphcomplex.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def dense(x):

@@ -529,6 +529,21 @@ def test_cli_import_pins_openblas_threads_unless_set(preset, expected):
     assert fresh_python(code, env=env).strip() == expected
 
 
+def test_run_all_without_neg_ia_loads_no_scipy(release, tmp_path):
+    """Correlations, PCA and ridge run on numpy and ``math`` alone."""
+    root, _, _, _ = release
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"manifest = {root / 'manifest.tsv'}\nwals = {root / 'wals.csv'}\nout = out\n"
+        "target_tokens = 200\nrepetitions = 2\nseed = 7\nmeasures = ttr,ws,wh,lh,msp,is,mfh\n",
+        encoding="utf-8",
+    )
+    code = "import sys; from morphcomplex import cli; assert cli.main(sys.argv[1:]) == 0"
+    modules = loaded_modules(code, "run-all", "--config", str(config), "--jobs", "1")
+    assert {"correlations.tsv", "pca.tsv", "ridge.tsv"} <= set(os.listdir(tmp_path / "out"))
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
 def test_run_all_with_neg_ia_loads_no_scipy(release, tmp_path):
     """All eight measures, -IA's learner included, and the analyses run
     on numpy and ``math`` alone."""
