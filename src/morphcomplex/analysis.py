@@ -46,7 +46,6 @@ class MeasureMatrix:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    method: str
     measures: tuple[str, ...]
     values: np.ndarray
     significant: np.ndarray
@@ -157,7 +156,7 @@ def correlation_matrix(m: MeasureMatrix, method: str = "pearson") -> Correlation
             r, sig = corr(m.values[both, i], m.values[both, j])
             values[i, j] = values[j, i] = r
             significant[i, j] = significant[j, i] = sig
-    return CorrelationMatrix(method, m.measures, values, significant, n_complete)
+    return CorrelationMatrix(m.measures, values, significant, n_complete)
 
 
 def standardize(matrix: np.ndarray, column_names: Sequence[str] | None = None) -> np.ndarray:

@@ -21,13 +21,15 @@ EXIT_PARTIAL = 2
 log = logging.getLogger("morphcomplex")
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_options(parser: argparse.ArgumentParser, measures: bool):
+    """``--config`` and ``--out``, plus the run overrides when the command measures."""
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="override the run seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes for the measure stage")
-    parser.add_argument("--target-tokens", type=int, default=None, help="override sample size")
-    parser.add_argument("--repetitions", type=int, default=None, help="override repetition count")
+    if measures:
+        parser.add_argument("--seed", type=int, default=None, help="override the run seed")
+        parser.add_argument("--jobs", type=int, default=None, help="worker processes for the measure stage")
+        parser.add_argument("--target-tokens", type=int, default=None, help="override sample size")
+        parser.add_argument("--repetitions", type=int, default=None, help="override repetition count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,20 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("plot", "render SVG figures from analysis output"),
         ("run-all", "measure, analyze and plot in sequence"),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        _add_options(sub.add_parser(name, help=help_text), name in ("measure", "run-all"))
     return parser
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config)
-    return apply_overrides(
-        config,
-        seed=args.seed,
-        out_dir=args.out,
-        jobs=args.jobs,
-        target_tokens=args.target_tokens,
-        repetitions=args.repetitions,
-    )
+    overrides = {k: getattr(args, k, None) for k in ("seed", "jobs", "target_tokens", "repetitions")}
+    return apply_overrides(load_config(args.config), out_dir=args.out, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("measure", "run-all"):
             outcomes = run_measure(config)
-            n_failed = sum(o.status == "failed" for o in outcomes)
+            n_failed = sum(bool(o.error) for o in outcomes)
             if n_failed:
                 status = EXIT_PARTIAL
             log.info(

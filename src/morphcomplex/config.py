@@ -27,6 +27,18 @@ class RunConfig:
     wals_rows: str = "per-treebank"  # or "per-language"
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if not self.measures:
+            raise ValueError("config key measures: expected at least one measure name")
+        unknown = [m for m in self.measures if m not in ALL_MEASURES]
+        if unknown:
+            raise ValueError(f"config key measures: unknown measure names {unknown}")
+        repeated = sorted({m for m in self.measures if self.measures.count(m) > 1})
+        if repeated:
+            raise ValueError(f"config key measures: names listed twice {repeated}")
+
     def validate_paths(self):
         if not os.path.exists(self.manifest):
             raise FileNotFoundError(f"manifest not found: {self.manifest}")
@@ -100,11 +112,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if "wals" in raw:
         settings["wals_csv"] = resolve(raw["wals"])
     if "measures" in raw:
-        measures = tuple(s.strip() for s in raw["measures"].split(",") if s.strip())
-        unknown = [m for m in measures if m not in ALL_MEASURES]
-        if unknown:
-            raise ValueError(f"config key measures: unknown measure names {unknown}")
-        settings["measures"] = measures
+        settings["measures"] = tuple(s.strip() for s in raw["measures"].split(",") if s.strip())
     if "lowercase" in raw:
         settings["lowercase"] = _parse_bool("lowercase", raw["lowercase"])
     if "is_unit" in raw:

@@ -3,16 +3,18 @@
 Only the columns needed for morphological statistics are kept: FORM,
 LEMMA and FEATS, each interned into a table of distinct values with one
 ``int32`` ID per token.  UPOS and the dependency columns are dropped.
-Files are streamed line by line, never held whole.
+Files are streamed line by line, never held whole, in text mode.  Only
+when a file is not valid UTF-8 is it parsed again from the start, decoding
+each line on its own, so the error names the first faulty line: a
+malformed line before the bad bytes is reported ahead of them.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,7 +54,6 @@ class Treebank:
     """
 
     id: str
-    language_code: str
     forms: tuple[str, ...]
     lemmas: tuple[str, ...]
     bundles: tuple[tuple[tuple[str, str], ...], ...]
@@ -118,7 +119,7 @@ def _parse_feats(cell: str, line_no: int) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs.items()))
 
 
-def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
+def parse_conllu(text: str, id: str, lowercase: bool = False) -> Treebank:
     """Parse CoNLL-U text into a Treebank of basic-node tokens.
 
     Multiword-token range lines (``1-2``) and empty nodes (``1.1``) are
@@ -126,33 +127,31 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
     A leading byte-order mark and CRLF line ends are accepted.
     ``lowercase`` folds forms and lemmas (off by default).
     """
-    return _parse_lines(text.removeprefix("\ufeff").split("\n"), id, language_code, lowercase)
+    return _parse_lines(text.removeprefix("\ufeff").split("\n"), id, lowercase)
 
 
-def parse_conllu_file(path: str, id: str, language_code: str, lowercase: bool = False) -> Treebank:
+def parse_conllu_file(path: str, id: str, lowercase: bool = False) -> Treebank:
     """``parse_conllu`` over a UTF-8 file, read one line at a time."""
     try:
         # newline="\n": only "\n" ends a line, so a lone "\r" stays inside its field.
         with open(path, encoding="utf-8-sig", newline="\n") as f:
-            return _parse_lines(f, id, language_code, lowercase)
-    except UnicodeDecodeError as exc:
-        # The decoder's offset counts from its last block, so rescan for the line:
-        # a line is UTF-8 when decoding with replacement gives it back unchanged.
-        # Some line fails, since no UTF-8 sequence holds a "\n" byte.
+            return _parse_lines(f, id, lowercase)
+    except UnicodeDecodeError:
         with open(path, "rb") as f:
-            valid = (line.decode("utf-8", "replace").encode("utf-8") == line for line in f)
-            line_no = next(n for n, ok in enumerate(valid, start=1) if not ok)
-        # The decoder reads ahead, so a malformed line before the bad one is reported first.
-        with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as f:
-            try:
-                _parse_lines(itertools.islice(f, line_no - 1), id, language_code, lowercase)
-            except ConlluParseError as earlier:
-                if earlier.line_no:  # line 0: no token before the bad line
-                    raise
-        raise ConlluParseError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
+            return _parse_lines(_decode_lines(f), id, lowercase)
 
 
-def _parse_lines(lines: Iterable[str], id: str, language_code: str, lowercase: bool) -> Treebank:
+def _decode_lines(lines: Iterable[bytes]) -> Iterator[str]:
+    """Decode each line on its own, so the first fault in line order is the
+    one reported: a malformed line, or a line that is not UTF-8."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            yield line.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConlluParseError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
+
+
+def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
     forms: dict[str, int] = {}
     lemmas: dict[str, int] = {EMPTY_MARKER: 0}
     bundles: dict[tuple[tuple[str, str], ...], int] = {(): 0}
@@ -192,7 +191,7 @@ def _parse_lines(lines: Iterable[str], id: str, language_code: str, lowercase: b
     starts = np.unique(boundaries)
     columns = (form_ids, lemma_ids, bundle_ids, starts[starts < len(form_ids)])
     ids = (np.array(col, dtype=np.int32) for col in columns)
-    return Treebank(id, language_code, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
+    return Treebank(id, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
 
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -200,7 +199,7 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
 
     Blank lines and ``#`` comments are skipped; relative paths resolve
     against the manifest's own directory.  Every output keys its rows by
-    treebank id, so an id listed twice is rejected.
+    treebank id, so an id listed twice is rejected, as is an empty cell.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str, str]] = []
@@ -214,6 +213,9 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
             if len(cols) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated columns")
             tb_id, lang, tb_path = (c.strip() for c in cols)
+            for name, cell in (("treebank id", tb_id), ("language", lang), ("path", tb_path)):
+                if not cell:
+                    raise ValueError(f"{path}: line {line_no}: empty {name}")
             if tb_id in seen:
                 raise ValueError(
                     f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"

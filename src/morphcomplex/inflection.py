@@ -60,18 +60,11 @@ class EditScript:
     suffix_drop: int
     suffix_add: str
 
-    def fits(self, lemma: str) -> bool:
-        return self.prefix_drop + self.suffix_drop <= len(lemma)
-
     def apply(self, lemma: str) -> str:
-        stem = lemma[self.prefix_drop : len(lemma) - self.suffix_drop]
+        """The rewritten lemma; drops longer than the lemma are clamped, so
+        a lemma too short for them keeps no character."""
+        stem = lemma[self.prefix_drop : max(self.prefix_drop, len(lemma) - self.suffix_drop)]
         return self.prefix_add + stem + self.suffix_add
-
-    def apply_clamped(self, lemma: str) -> str:
-        """Total fallback application when the drops do not fit."""
-        pd = min(self.prefix_drop, len(lemma))
-        sd = min(self.suffix_drop, len(lemma) - pd)
-        return self.prefix_add + lemma[pd : len(lemma) - sd] + self.suffix_add
 
 
 def derive_edit_script(lemma: str, form: str) -> EditScript:
@@ -280,9 +273,8 @@ def train(
 
 def predict_batch(model: InflectionModel, lemmas: Sequence[str], rows: FeatureRows) -> list[str]:
     """Apply to each lemma, given its row of features interned by
-    ``model.feature_ids``, the best-scoring edit script that fits it.  If no
-    script fits, the top one is applied with clamped drops so prediction is
-    total.
+    ``model.feature_ids``, the best-scoring edit script whose drops fit it.
+    If none fits, the top one is applied anyway, its drops clamped.
     """
     scores = _times(rows, model.weights)
     drops = np.array([s.prefix_drop + s.suffix_drop for s in model.scripts])
@@ -290,7 +282,7 @@ def predict_batch(model: InflectionModel, lemmas: Sequence[str], rows: FeatureRo
     best = np.where(fits, scores, np.iinfo(np.int64).min).argmax(axis=1)
     top = scores.argmax(axis=1)
     return [
-        model.scripts[b].apply(lemma) if ok else model.scripts[t].apply_clamped(lemma)
+        model.scripts[b if ok else t].apply(lemma)
         for lemma, b, t, ok in zip(lemmas, best.tolist(), top.tolist(), fits.any(axis=1))
     ]
 
@@ -311,6 +303,10 @@ class IASearchConfig:
     n_folds: ClassVar[int] = 3
     ngram_range: ClassVar[tuple[int, int]] = (1, 4)
     epoch_range: ClassVar[tuple[int, int]] = (5, 30)
+
+    def __post_init__(self):
+        if self.n_draws < 1:
+            raise ValueError("ia_draws must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -342,11 +338,14 @@ def cross_validate(
     root = int(rng.integers(0, 2**63))
     order = np.random.default_rng([root, 1]).permutation(len(instances))
     folds = [order[f :: config.n_folds] for f in range(config.n_folds)]
-    splits = [
-        (np.concatenate([folds[g] for g in range(config.n_folds) if g != f]), folds[f])
-        for f in range(config.n_folds)
-    ]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
+    splits = []  # per fold: train and test rows, train instances and scripts, test instances
+    for f, test_idx in enumerate(folds):
+        train_idx = np.concatenate(folds[:f] + folds[f + 1 :])
+        kept = train_idx.tolist()
+        train_set, train_scripts = [instances[i] for i in kept], [scripts[i] for i in kept]
+        test_set = [instances[i] for i in test_idx.tolist()]
+        splits.append((train_idx, test_idx, train_set, train_scripts, test_set))
     ranges = (config.ngram_range, config.epoch_range)
     draws = [
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
@@ -356,11 +355,9 @@ def cross_validate(
     for k in sorted({p.ngram_order for p in draws}):
         x = _count_matrix([featurize(i.lemma, i.feature_bundle, k) for i in instances], {})
         gram = _gram(x)
-        for f, (train_idx, test_idx) in enumerate(splits):
-            train_set = [instances[i] for i in train_idx.tolist()]
-            train_scripts = [scripts[i] for i in train_idx.tolist()]
+        for f, (train_idx, test_idx, train_set, train_scripts, test_set) in enumerate(splits):
             train_rows, train_gram = x.take(train_idx), gram[np.ix_(train_idx, train_idx)]
-            test_rows, test_set = x.take(test_idx), [instances[i] for i in test_idx.tolist()]
+            test_rows = x.take(test_idx)
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 model = train(
                     train_set,

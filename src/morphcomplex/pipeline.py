@@ -116,14 +116,17 @@ def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
 class TreebankOutcome:
     treebank_id: str
     language_code: str
-    status: str  # "ok" or "failed"
     n_sentences: int = 0
     n_tokens: int = 0
     n_feature_keys: int = 0
     exclusions: tuple[Exclusion, ...] = ()
     stats: dict[str, MeasureStats] = field(default_factory=dict)
     ia: IAResult | None = None
-    error: str = ""
+    error: str = ""  # set exactly when the treebank failed
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.error else "ok"
 
 
 def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutcome:
@@ -133,9 +136,9 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
     exclusions known before it, so one treebank cannot stop the others.
     """
     tb_id, lang, path = entry
-    outcome = TreebankOutcome(treebank_id=tb_id, language_code=lang, status="ok")
+    outcome = TreebankOutcome(treebank_id=tb_id, language_code=lang)
     try:
-        treebank = parse_conllu_file(path, tb_id, lang, lowercase=config.lowercase)
+        treebank = parse_conllu_file(path, tb_id, lowercase=config.lowercase)
         outcome.n_sentences = len(treebank.sentences)
         outcome.n_tokens = treebank.n_tokens
         outcome.n_feature_keys = treebank.n_feature_keys
@@ -150,16 +153,16 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
             sample = bootstrap_sample(treebank, config.sample.target_tokens, rng)
             instances = extract_instances(sample)
             if len(instances) < config.ia_search.n_folds:
-                outcome.stats["neg_ia"] = MeasureStats(None, None, 1, 0)
+                outcome.stats["neg_ia"] = MeasureStats(None, None, 1)
             else:
                 result = cross_validate(instances, config.ia_search, rng)
                 outcome.ia = result
-                outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1, 1)
+                outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1)
     except Exception as exc:  # isolate per-treebank failures
         error = f"{type(exc).__name__}: {exc}"
         debug = log.isEnabledFor(logging.DEBUG)
         log.error("treebank %s (%s) failed: %s", tb_id, path, error, exc_info=debug)
-        return replace(outcome, status="failed", stats={}, ia=None, error=error)
+        return replace(outcome, stats={}, ia=None, error=error)
     return outcome
 
 
@@ -199,7 +202,7 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
     }
     rows: list[list[str]] = []
     for outcome in outcomes:
-        if outcome.status != "ok":
+        if outcome.error:
             continue
         for measure in config.measures:
             stats = outcome.stats.get(measure)

@@ -41,6 +41,8 @@ class SampleConfig:
             raise ValueError("target_tokens must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +69,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class MeasureStats:
-    """Mean and population standard deviation over repetitions."""
+    """Mean and population standard deviation over repetitions; both are
+    None unless every repetition gave a value."""
 
     mean: float | None
     stddev: float | None
     n_repetitions: int
-    n_available: int
 
     @property
     def available(self) -> bool:
-        return self.n_available == self.n_repetitions and self.mean is not None
+        return self.mean is not None
 
 
 def _name_hash(name: str) -> int:
@@ -152,13 +154,11 @@ def run_repetitions(
             values[name].append(value)
     summary: dict[str, MeasureStats] = {}
     for name, vals in values.items():
-        present = [v for v in vals if v is not None]
-        if len(present) == len(vals):
-            mean = float(np.mean(present))
-            stddev = float(np.std(present))  # population convention
-            if math.isnan(mean):
-                raise MeasureError(f"measure {name!r} produced NaN on {treebank.id}")
-            summary[name] = MeasureStats(mean, stddev, config.repetitions, len(present))
-        else:
-            summary[name] = MeasureStats(None, None, config.repetitions, len(present))
+        if None in vals:
+            summary[name] = MeasureStats(None, None, config.repetitions)
+            continue
+        mean = float(np.mean(vals))
+        if math.isnan(mean):
+            raise MeasureError(f"measure {name!r} produced NaN on {treebank.id}")
+        summary[name] = MeasureStats(mean, float(np.std(vals)), config.repetitions)  # population sd
     return summary

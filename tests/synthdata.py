@@ -19,12 +19,12 @@ def make_token(form: str, lemma: str | None = None, upos: str = "X",
 
 def make_sample(sentences: list[list[Token]]) -> Sample:
     """Every token of ``sentences``, in order, as one sample."""
-    tb = make_treebank("sample", "xx", sentences)
+    tb = make_treebank("sample", sentences)
     return Sample(tb, np.arange(tb.n_tokens), tb.sentences)
 
 
-def make_treebank(id: str, language_code: str, sentences: list[list[Token]]) -> Treebank:
-    return parse_conllu(conllu_text(sentences), id, language_code)
+def make_treebank(id: str, sentences: list[list[Token]]) -> Treebank:
+    return parse_conllu(conllu_text(sentences), id)
 
 
 def sample_forms(sample: Sample) -> list[str]:

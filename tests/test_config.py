@@ -80,11 +80,27 @@ def test_load_config_resolves_against_the_files_directory(tmp_path):
             MINIMAL + "wals_rows = per-family\n",
             "config key wals_rows: expected 'per-treebank' or 'per-language', got 'per-family'",
         ),
+        # Settings that would make every treebank fail, or quietly do something else.
+        (MINIMAL + "seed = -1\n", "seed must be >= 0"),
+        (MINIMAL + "ia_draws = 0\n", "ia_draws must be >= 1"),
+        (MINIMAL + "jobs = 0\n", "jobs must be >= 1"),
+        (MINIMAL + "jobs = -2\n", "jobs must be >= 1"),
+        (MINIMAL + "measures = ttr,ttr\n", "config key measures: names listed twice ['ttr']"),
+        (MINIMAL + "measures =\n", "config key measures: expected at least one measure name"),
     ],
 )
 def test_error_messages(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_config(text, BASE)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [({"seed": -1}, "seed must be >= 0"), ({"jobs": 0}, "jobs must be >= 1")],
+)
+def test_overrides_are_checked_like_the_file(override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_overrides(parse_config(MINIMAL, BASE), **override)
 
 
 def test_apply_overrides_changes_only_given_values():

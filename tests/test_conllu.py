@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,11 +36,11 @@ SIMPLE = "\n".join(
 
 class TestParse:
     def test_feats_parsed_into_pairs(self):
-        tb = parse_conllu(SIMPLE, "fi_x", "fi")
+        tb = parse_conllu(SIMPLE, "fi_x")
         assert treebank_tokens(tb)[0][0].feats == (("Case", "Nom"), ("Number", "Plur"))
 
     def test_counts(self):
-        tb = parse_conllu(SIMPLE, "fi_x", "fi")
+        tb = parse_conllu(SIMPLE, "fi_x")
         assert len(tb.sentences) == 2
         assert tb.n_tokens == 3
         assert tb.n_feature_keys == 3  # Case, Number, Person
@@ -52,7 +54,7 @@ class TestParse:
                 "",
             ]
         )
-        tb = parse_conllu(text, "es_x", "es")
+        tb = parse_conllu(text, "es_x")
         assert [t.form for t in treebank_tokens(tb)[0]] == ["de", "el"]
 
     def test_empty_nodes_skipped(self):
@@ -64,69 +66,69 @@ class TestParse:
                 "",
             ]
         )
-        tb = parse_conllu(text, "x", "xx")
+        tb = parse_conllu(text, "x")
         assert [t.form for t in treebank_tokens(tb)[0]] == ["a", "b"]
 
     def test_underscore_feats_is_empty_set(self):
-        tb = parse_conllu(token_line(1, "a", "a") + "\n", "x", "xx")
+        tb = parse_conllu(token_line(1, "a", "a") + "\n", "x")
         assert treebank_tokens(tb)[0][0].feats == ()
 
     def test_underscore_lemma_becomes_empty_marker(self):
-        tb = parse_conllu(token_line(1, "word") + "\n", "x", "xx")
+        tb = parse_conllu(token_line(1, "word") + "\n", "x")
         [[tok]] = treebank_tokens(tb)
         assert tok.form == "word"
         assert tok.lemma == ""
 
     def test_crlf_input(self):
         text = SIMPLE.replace("\n", "\r\n")
-        assert parse_conllu(text, "x", "xx").n_tokens == 3
+        assert parse_conllu(text, "x").n_tokens == 3
 
     def test_lowercase_switch(self):
-        tb = parse_conllu(token_line(1, "Koira", "Koira") + "\n", "x", "xx", lowercase=True)
+        tb = parse_conllu(token_line(1, "Koira", "Koira") + "\n", "x", lowercase=True)
         assert treebank_tokens(tb)[0][0].form == "koira"
 
     def test_missing_final_blank_line(self):
-        tb = parse_conllu(token_line(1, "a", "a"), "x", "xx")
+        tb = parse_conllu(token_line(1, "a", "a"), "x")
         assert tb.n_tokens == 1
 
     def test_wrong_column_count_reports_line(self):
         text = token_line(1, "a", "a") + "\n1\tonly-two\n"
         with pytest.raises(ConlluParseError) as err:
-            parse_conllu(text, "x", "xx")
+            parse_conllu(text, "x")
         assert err.value.line_no == 2
 
     def test_bad_feats_reports_line(self):
         text = token_line(1, "a", "a", feats="Case") + "\n"
         with pytest.raises(ConlluParseError) as err:
-            parse_conllu(text, "x", "xx")
+            parse_conllu(text, "x")
         assert err.value.line_no == 1
 
     def test_conflicting_feature_values_rejected(self):
         text = token_line(1, "a", "a", feats="Case=Nom|Case=Gen") + "\n"
         with pytest.raises(ConlluParseError):
-            parse_conllu(text, "x", "xx")
+            parse_conllu(text, "x")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConlluParseError):
-            parse_conllu("", "x", "xx")
+            parse_conllu("", "x")
         with pytest.raises(ConlluParseError):
-            parse_conllu("# only a comment\n\n", "x", "xx")
+            parse_conllu("# only a comment\n\n", "x")
 
     def test_bad_token_id_rejected(self):
         with pytest.raises(ConlluParseError):
-            parse_conllu("x\ta\ta\tX\t_\t_\t_\t_\t_\t_\n", "x", "xx")
+            parse_conllu("x\ta\ta\tX\t_\t_\t_\t_\t_\t_\n", "x")
 
     def test_lone_carriage_return_stays_in_file_field(self, tmp_path):
         path = tmp_path / "cr.conllu"
         path.write_bytes((token_line(1, "a\rb", "a") + "\r\n").encode("utf-8"))
-        tb = parse_conllu_file(str(path), "x", "xx")
+        tb = parse_conllu_file(str(path), "x")
         assert tb.forms == ("a\rb",)
         assert tb.n_tokens == 1
 
     def test_utf8_bom_file_accepted(self, tmp_path):
         path = tmp_path / "bom.conllu"
         path.write_bytes(b"\xef\xbb\xbf" + SIMPLE.encode("utf-8"))
-        tb = parse_conllu_file(str(path), "x", "xx")
+        tb = parse_conllu_file(str(path), "x")
         assert tb.n_tokens == 3
         assert treebank_tokens(tb)[0][0].form == "koirat"
 
@@ -142,13 +144,64 @@ FILE_INPUTS = {
 }
 
 
+def byte_line(idx, form=b"a"):
+    return b"%d\t%s\ta\tNOUN\t_\tCase=Nom\t0\tdep\t_\t_" % (idx, form)
+
+
+GOOD_SENTENCE = [b"# sent_id = 1", byte_line(1), byte_line(2), b""]
+# Files that are not UTF-8, each with the error that names its first fault.
+BAD_UTF8 = {
+    "invalid-start-byte": (
+        b"\n".join([b"# c", b"1\xff" + byte_line(1)[1:], b""]),
+        "line 2: invalid UTF-8 (invalid start byte)",
+    ),
+    "invalid-continuation-byte": (
+        b"\n".join([b"# c", byte_line(1), byte_line(2, b"a\xc3("), b""]),
+        "line 3: invalid UTF-8 (invalid continuation byte)",
+    ),
+    "sequence-cut-at-line-end": (
+        b"\n".join([b"# c", byte_line(1), byte_line(2) + b"\xc3", b""]),
+        "line 3: invalid UTF-8 (invalid continuation byte)",
+    ),
+    "sequence-cut-at-file-end": (
+        b"\n".join([b"# c", byte_line(1), byte_line(2) + b"\xe2\x82"]),
+        "line 3: invalid UTF-8 (unexpected end of data)",
+    ),
+    "surrogate-in-comment": (
+        b"\n".join([byte_line(1), b"# text = \xed\xa0\x80", byte_line(2), b""]),
+        "line 2: invalid UTF-8 (invalid continuation byte)",
+    ),
+    "bom-then-bad-byte": (
+        b"\xef\xbb\xbf\xff" + b"\n".join([b"# c", byte_line(1), b""]),
+        "line 1: invalid UTF-8 (invalid start byte)",
+    ),
+    "bad-byte-in-first-comment": (
+        b"\n".join([b"# sent_id = \xff", byte_line(1), b""]),
+        "line 1: invalid UTF-8 (invalid start byte)",
+    ),
+    "malformed-line-8kb-before": (
+        b"\n".join([b"# c", b"1\tonly-two"] + GOOD_SENTENCE * 800 + [b"\xff", b""]),
+        "line 2: expected 10 columns, got 2",
+    ),
+    "malformed-line-after": (
+        b"\n".join([b"# c", byte_line(1), b"\xff" + byte_line(2), b"1\tonly-two", b""]),
+        "line 3: invalid UTF-8 (invalid start byte)",
+    ),
+    "bad-byte-on-line-3002": (
+        b"\n".join(GOOD_SENTENCE * 750 + [b"# c", byte_line(1, b"\xfe"), b""]),
+        "line 3002: invalid UTF-8 (invalid start byte)",
+    ),
+    "one-bad-byte": (b"\xff", "line 1: invalid UTF-8 (invalid start byte)"),
+}
+
+
 class TestFile:
     @pytest.mark.parametrize("name", sorted(FILE_INPUTS))
     def test_file_parse_equals_text_parse(self, tmp_path, name):
         path = tmp_path / "t.conllu"
         path.write_bytes(FILE_INPUTS[name])
         text = FILE_INPUTS[name].decode("utf-8")
-        assert parse_conllu_file(str(path), "x", "xx") == parse_conllu(text, "x", "xx")
+        assert parse_conllu_file(str(path), "x") == parse_conllu(text, "x")
 
     @pytest.mark.parametrize("repeat, line_no", [(1, 3), (400, 1203)])
     def test_invalid_utf8_names_its_line(self, tmp_path, repeat, line_no):
@@ -158,7 +211,7 @@ class TestFile:
         path = tmp_path / "bad.conllu"
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ConlluParseError, match="invalid UTF-8") as err:
-            parse_conllu_file(str(path), "x", "xx")
+            parse_conllu_file(str(path), "x")
         assert err.value.line_no == line_no
 
     def test_earlier_malformed_line_wins_over_invalid_utf8(self, tmp_path):
@@ -169,7 +222,15 @@ class TestFile:
         path = tmp_path / "two-defects.conllu"
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ConlluParseError, match="^line 2: expected 10 columns, got 2$"):
-            parse_conllu_file(str(path), "x", "xx")
+            parse_conllu_file(str(path), "x")
+
+    @pytest.mark.parametrize("name", sorted(BAD_UTF8))
+    def test_invalid_utf8_message(self, tmp_path, name):
+        data, message = BAD_UTF8[name]
+        path = tmp_path / "bad.conllu"
+        path.write_bytes(data)
+        with pytest.raises(ConlluParseError, match=f"^{re.escape(message)}$"):
+            parse_conllu_file(str(path), "x")
 
 
 @st.composite
@@ -190,12 +251,12 @@ class TestParseProperties:
                 expected_forms.append(form)
                 lines.append(token_line(i + 1, form, form))
             lines.append("")
-        tb = parse_conllu("\n".join(lines), "x", "xx")
+        tb = parse_conllu("\n".join(lines), "x")
         assert [len(s) for s in treebank_tokens(tb)] == shapes
         assert [t.form for s in treebank_tokens(tb) for t in s] == expected_forms
 
     def test_parsing_is_deterministic(self):
-        assert parse_conllu(SIMPLE, "x", "xx") == parse_conllu(SIMPLE, "x", "xx")
+        assert parse_conllu(SIMPLE, "x") == parse_conllu(SIMPLE, "x")
 
 
 # Any text without tab or line break characters; reference.parse_conllu
@@ -237,8 +298,8 @@ class TestRoundTrip:
     @given(lines=conllu_lines(), crlf=st.booleans(), bom=st.booleans(), lowercase=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_parse_serialize_parse(self, lines, crlf, bom, lowercase):
-        tb = parse_conllu(encode(lines, crlf, bom), "x", "xx", lowercase=lowercase)
-        assert parse_conllu(conllu_text(treebank_tokens(tb)), "x", "xx", lowercase=lowercase) == tb
+        tb = parse_conllu(encode(lines, crlf, bom), "x", lowercase=lowercase)
+        assert parse_conllu(conllu_text(treebank_tokens(tb)), "x", lowercase=lowercase) == tb
         old = reference.parse_conllu(encode(lines, crlf, False), "x", "xx", lowercase=lowercase)
         expected = [[(t.form, t.lemma, t.feats) for t in s.tokens] for s in old.sentences]
         assert [[(t.form, t.lemma, t.feats) for t in s] for s in treebank_tokens(tb)] == expected
@@ -251,13 +312,13 @@ class TestRoundTrip:
             [token_line(1, "a", feats="Case"), "1\tonly-two", token_line("x", "a")]
         ))
         with pytest.raises(ConlluParseError) as err:
-            parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x", "xx")
+            parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x")
         assert err.value.line_no == at + 1
 
 
 def featureless_treebank(tb_id, n_keys):
     feats = {f"K{i}": "v" for i in range(n_keys)}
-    return make_treebank(tb_id, tb_id[:2], [[make_token("a", "a", feats=feats)]])
+    return make_treebank(tb_id, [[make_token("a", "a", feats=feats)]])
 
 
 class TestExclusions:
@@ -309,6 +370,16 @@ class TestManifest:
         manifest = tmp_path / "m.tsv"
         manifest.write_text("only_one_field\n")
         with pytest.raises(ValueError):
+            read_manifest(str(manifest))
+
+    @pytest.mark.parametrize(
+        "row, name",
+        [("\txx\ta.conllu", "treebank id"), ("a\t \ta.conllu", "language"), ("a\txx\t", "path")],
+    )
+    def test_empty_cell_names_its_line(self, tmp_path, row, name):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"# comment\nb\tyy\tb.conllu\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{manifest}: line 3: empty {name}')}$"):
             read_manifest(str(manifest))
 
     def test_empty_manifest(self, tmp_path):

@@ -33,6 +33,24 @@ from synthdata import distinct_words, make_sample, make_token, regular_toy_insta
 WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=12)
 
 
+def fits(script: EditScript, lemma: str) -> bool:
+    """The script's drops leave at least an empty stem of the lemma."""
+    return script.prefix_drop + script.suffix_drop <= len(lemma)
+
+
+def apply_exact(script: EditScript, lemma: str) -> str:
+    """The script applied to a lemma its drops fit."""
+    stem = lemma[script.prefix_drop : len(lemma) - script.suffix_drop]
+    return script.prefix_add + stem + script.suffix_add
+
+
+def apply_clamped(script: EditScript, lemma: str) -> str:
+    """The script applied with each drop cut to what the lemma has left."""
+    pd = min(script.prefix_drop, len(lemma))
+    sd = min(script.suffix_drop, len(lemma) - pd)
+    return script.prefix_add + lemma[pd : len(lemma) - sd] + script.suffix_add
+
+
 class TestCanonicalBundle:
     def test_order_insensitive(self):
         a = canonical_bundle([("Number", "Sing"), ("Case", "Nom")])
@@ -122,9 +140,24 @@ class TestEditScript:
 
     def test_fits_and_clamping(self):
         script = EditScript(3, "xyz", 0, "")
-        assert script.fits("abc")
-        assert not script.fits("ab")
-        assert script.apply_clamped("ab") == "xyz"
+        assert fits(script, "abc")
+        assert script.apply("abcd") == "xyzd"
+        assert not fits(script, "ab")
+        assert script.apply("ab") == "xyz"
+        assert EditScript(1, "", 4, "s").apply("abc") == "s"
+
+    @given(
+        lemma=st.text(alphabet="abc", max_size=8),
+        script=st.builds(
+            EditScript, st.integers(0, 10), st.text("xy", max_size=3),
+            st.integers(0, 10), st.text("xy", max_size=3),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_apply_is_the_clamped_formula(self, lemma, script):
+        assert script.apply(lemma) == apply_clamped(script, lemma)
+        if fits(script, lemma):
+            assert script.apply(lemma) == apply_exact(script, lemma)
 
     @given(lemma=WORDS, form=WORDS)
     @settings(max_examples=400, deadline=None)
@@ -307,9 +340,9 @@ def reference_predict(classes, averaged, ngram_order, lemma, feature_bundle):
             s[c] += w
     order = np.argsort(-s, kind="stable")
     for c in order:
-        if classes[int(c)].fits(lemma):
-            return classes[int(c)].apply(lemma)
-    return classes[int(order[0])].apply_clamped(lemma)
+        if fits(classes[int(c)], lemma):
+            return apply_exact(classes[int(c)], lemma)
+    return apply_clamped(classes[int(order[0])], lemma)
 
 
 def irregular_toy_instances(n_lemmas: int, seed: int):
@@ -544,8 +577,8 @@ class TestPredictBatch:
             for i in regular_toy_instances(20, seed=4)
         ]
         model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
-        assert not any(s.fits("q") for s in model.scripts)
-        assert predict(model, "q", "Tense=Past") in {s.apply_clamped("q") for s in model.scripts}
+        assert not any(fits(s, "q") for s in model.scripts)
+        assert predict(model, "q", "Tense=Past") in {apply_clamped(s, "q") for s in model.scripts}
         self.check(model, self.QUERIES)
 
 
@@ -611,8 +644,8 @@ class TestCrossValidate:
         for inst in test_set:
             predicted = predict(model, inst.lemma, inst.feature_bundle)
             applied = {
-                s.apply(inst.lemma) for s in model.scripts if s.fits(inst.lemma)
-            } | {s.apply_clamped(inst.lemma) for s in model.scripts}
+                apply_exact(s, inst.lemma) for s in model.scripts if fits(s, inst.lemma)
+            } | {apply_clamped(s, inst.lemma) for s in model.scripts}
             assert predicted in applied
             if predicted == inst.form:
                 replay_hits += 1

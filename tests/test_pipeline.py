@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -573,6 +574,44 @@ def test_duplicate_treebank_id_rejected(tmp_path, caplog):
     [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert str(manifest) in message and "'tb1'" in message
     assert "line 2" in message and "line 4" in message
+    assert not (tmp_path / "out").exists()
+
+
+OVERRIDES = ["--seed", "1", "--jobs", "2", "--target-tokens", "30", "--repetitions", "4"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+@pytest.mark.parametrize("flag", OVERRIDES[::2])
+def test_analyze_and_plot_reject_run_overrides(command, flag, capsys):
+    """Only the measure stage reads these; the later stages read the seed from its output."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--config", "run.cfg", flag, "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_help_lists_only_config_and_out(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--config", "--out", "--help"}
+
+
+@pytest.mark.parametrize("command", ["measure", "run-all"])
+def test_measure_commands_take_every_override(command, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("manifest = manifest.tsv\nout = out\n", encoding="utf-8")
+    args = cli.build_parser().parse_args([command, "--config", str(config), "--out", "o", *OVERRIDES])
+    loaded = cli._load(args)
+    assert (loaded.out_dir, loaded.jobs) == ("o", 2)
+    assert (loaded.sample.seed, loaded.sample.target_tokens, loaded.sample.repetitions) == (1, 30, 4)
+
+
+def test_invalid_override_exits_1(tmp_path, caplog):
+    config = write_release(tmp_path)
+    assert cli.main(["measure", "--config", config, "--jobs", "0"]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        "jobs must be >= 1"
+    ]
     assert not (tmp_path / "out").exists()
 
 

@@ -38,7 +38,7 @@ def random_conllu(seed: int, n_sentences: int = 400) -> str:
 
 
 def both(text: str):
-    return parse_conllu(text, "tb", "xx"), ref.parse_conllu(text, "tb", "xx")
+    return parse_conllu(text, "tb"), ref.parse_conllu(text, "tb", "xx")
 
 
 def drawn_indices(ref_tb, sample):

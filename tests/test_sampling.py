@@ -16,12 +16,12 @@ from synthdata import make_token, make_treebank, sample_forms, treebank_tokens
 
 
 def five_token_treebank():
-    return make_treebank("one", "xx", [[make_token(f"w{i}") for i in range(5)]])
+    return make_treebank("one", [[make_token(f"w{i}") for i in range(5)]])
 
 
 def varied_treebank():
     sentences = [[make_token(f"s{j}w{i}") for i in range(j + 1)] for j in range(7)]
-    return make_treebank("varied", "xx", sentences)
+    return make_treebank("varied", sentences)
 
 
 def sentence_forms(sample):
@@ -65,7 +65,7 @@ class TestBootstrapSample:
 
     def test_empty_treebank_rejected(self):
         no_ids = np.zeros(0, dtype=np.int32)
-        empty = Treebank("empty", "xx", (), ("",), ((),), no_ids, no_ids, no_ids, no_ids)
+        empty = Treebank("empty", (), ("",), ((),), no_ids, no_ids, no_ids, no_ids)
         with pytest.raises(ValueError):
             bootstrap_sample(empty, 10, np.random.default_rng(0))
 
@@ -109,10 +109,12 @@ class TestRunRepetitions:
 
     def test_unavailable_when_any_repetition_lacks_value(self):
         config = SampleConfig(target_tokens=5, repetitions=4, seed=0)
-        stats = run_repetitions(five_token_treebank(), config, {"never": lambda s, rng: None})
-        assert not stats["never"].available
-        assert stats["never"].mean is None
-        assert stats["never"].n_available == 0
+        values = iter([1.0, None, 1.0, 1.0])
+        fns = {"never": lambda s, rng: None, "once": lambda s, rng: next(values)}
+        stats = run_repetitions(five_token_treebank(), config, fns)
+        for name in fns:
+            assert not stats[name].available
+            assert (stats[name].mean, stats[name].stddev) == (None, None)
 
     def test_measure_error_carries_repetition_index(self):
         config = SampleConfig(target_tokens=5, repetitions=3, seed=0)

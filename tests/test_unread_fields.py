@@ -1,0 +1,55 @@
+"""A dataclass field that nothing reads is a value the program stores for no one."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def is_classvar(annotation: ast.expr) -> bool:
+    target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return isinstance(target, ast.Name) and target.id == "ClassVar"
+
+
+def dataclass_fields(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and not is_classvar(item.annotation)
+                ):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass in the package is read as an attribute
+    somewhere in the package or the benchmark harness (by name only, so a
+    field shares its reads with any attribute of the same name)."""
+    package = sorted((ROOT / "src" / "morphcomplex").glob("*.py"))
+    readers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    read: set[str] = set()
+    for path in readers:
+        read |= attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    fields = [
+        field for path in package for field in dataclass_fields(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert fields, "no dataclass found"
+    assert [qualified for qualified, name in fields if name not in read] == []
