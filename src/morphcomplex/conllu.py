@@ -160,7 +160,8 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
-            boundaries.append(len(form_ids))
+            if boundaries[-1] < len(form_ids):  # blank lines in a row end one sentence
+                boundaries.append(len(form_ids))
             continue
         if line.startswith("#"):
             continue
@@ -188,9 +189,9 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
         bundle_ids.append(bundle)
     if not form_ids:
         raise ConlluParseError("no sentences found in input", 0)
-    starts = np.unique(boundaries)
-    columns = (form_ids, lemma_ids, bundle_ids, starts[starts < len(form_ids)])
-    ids = (np.array(col, dtype=np.int32) for col in columns)
+    if boundaries[-1] == len(form_ids):
+        boundaries.pop()  # the blank line after the last sentence
+    ids = (np.array(col, dtype=np.int32) for col in (form_ids, lemma_ids, bundle_ids, boundaries))
     return Treebank(id, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
 
 

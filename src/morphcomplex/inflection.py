@@ -40,8 +40,7 @@ def extract_instances(sample: Sample) -> list[InflectionInstance]:
     lemma, bundle, form = (
         col[sample.tokens].astype(np.int64) for col in (tb.lemma_ids, tb.bundle_ids, tb.form_ids)
     )
-    has_form = np.array([bool(f) for f in tb.forms])
-    keep = np.flatnonzero((lemma != 0) & (bundle != 0) & has_form[form])
+    keep = np.flatnonzero((lemma != 0) & (bundle != 0) & (tb.form_lengths[form] > 0))
     codes = (lemma[keep] * len(tb.bundles) + bundle[keep]) * len(tb.forms) + form[keep]
     first = keep[np.sort(np.unique(codes, return_index=True)[1])]
     names = [canonical_bundle(pairs) for pairs in tb.bundles]
@@ -191,14 +190,12 @@ def _transposed_times(
     x: FeatureRows, rows: np.ndarray, classes: np.ndarray, values: np.ndarray, n_classes: int
 ) -> np.ndarray:
     """Exact int64 ``X.T @ D`` for the rows x ``n_classes`` matrix ``D``
-    given by its nonzero entries ``D[rows, classes] += values``, one block
-    of entries at a time."""
+    given by its nonzero entries ``D[rows, classes] += values``."""
     out = np.zeros((len(x.ids), n_classes), dtype=np.int64)
-    for lo in range(0, len(rows), _ROWS):
-        block = x.take(rows[lo : lo + _ROWS])
-        lengths = np.diff(block.indptr)
-        flat = block.cols * n_classes + np.repeat(classes[lo : lo + _ROWS], lengths)
-        np.add.at(out.reshape(-1), flat, np.repeat(values[lo : lo + _ROWS], lengths))
+    entries = x.take(rows)
+    lengths = np.diff(entries.indptr)
+    flat = entries.cols * n_classes + np.repeat(classes, lengths)
+    np.add.at(out.reshape(-1), flat, np.repeat(values, lengths))
     return out
 
 

@@ -16,13 +16,14 @@ Every measure counts over the treebank's interned ID arrays at the
 sample's token indices (``np.bincount``/``np.unique``); Python loops run
 only over the distinct feature bundles or word types of a sample.  ``ws``
 takes its type counts, first occurrences and character model from one pass.
+``np.unique`` always gets a ``return_*`` argument: without one, numpy 2.4
+imports ``numpy.ma`` to check for a masked array.
 """
 
 from __future__ import annotations
 
 import logging
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -110,22 +111,19 @@ def inflectional_synthesis(sample: Sample, count_values: bool = False) -> float 
     key=value pairs.
     """
     _, lemmas, bundles = _lemmatized(sample)
-    keep = bundles != 0
-    if not keep.any():
+    keep = np.flatnonzero(bundles != 0)
+    if not len(keep):
         return None
+    by_lemma = keep[np.argsort(lemmas[keep])]  # tokens with features, grouped by lemma
     table = sample.treebank.bundles
-    pairs = np.unique(lemmas[keep].astype(np.int64) * len(table) + bundles[keep])
-    lemma, bundle = np.divmod(pairs, len(table))
-    used, row = np.unique(bundle, return_inverse=True)
-    units: dict = {}  # unit -> column of the used-bundle-by-unit indicator matrix
-    cols = [
-        [units.setdefault(u, len(units)) for u in (p if count_values else (k for k, _ in p))]
-        for p in (table[b] for b in used.tolist())
-    ]
-    matrix = np.zeros((len(used), len(units)), dtype=bool)
-    for r, c in enumerate(cols):
-        matrix[r, c] = True
-    per_lemma = np.logical_or.reduceat(matrix[row], np.flatnonzero(np.diff(lemma, prepend=-1)))
+    used, row = np.unique(bundles[by_lemma], return_inverse=True)
+    owner = [r for r, b in enumerate(used.tolist()) for _ in table[b]]
+    units = [f"{k}={v}" if count_values else k for b in used.tolist() for k, v in table[b]]
+    names, col = np.unique(units, return_inverse=True)
+    matrix = np.zeros((len(used), len(names)), dtype=bool)  # used bundle x unit
+    matrix[owner, col] = True
+    starts = np.flatnonzero(np.diff(lemmas[by_lemma], prepend=-1))
+    per_lemma = np.logical_or.reduceat(matrix[row], starts)
     return float(per_lemma.sum(axis=1).max())
 
 
@@ -144,26 +142,17 @@ def feature_entropy(sample: Sample) -> float | None:
     return plugin_entropy(list(counts.values())) if counts else None
 
 
-@dataclass(frozen=True)
-class CharUnigramModel:
-    """Character distribution estimated from the sample's word forms."""
-
-    chars: tuple[str, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
-            raise ValueError("character probabilities must sum to 1")
-
-
-def char_unigram_model(sample: Sample) -> CharUnigramModel:
-    """Token-weighted character counts over forms, delimiters excluded."""
+def char_unigram_model(sample: Sample) -> tuple[tuple[str, ...], np.ndarray]:
+    """The characters of the sample's forms and their token-weighted
+    probabilities, delimiters excluded."""
     tb = sample.treebank
     counts = np.bincount(tb.form_ids[sample.tokens], minlength=len(tb.forms))
     return _char_model(tb, np.flatnonzero(counts), counts)
 
 
-def _char_model(tb: Treebank, types: np.ndarray, counts: np.ndarray) -> CharUnigramModel:
+def _char_model(
+    tb: Treebank, types: np.ndarray, counts: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
     """The model of a sample with form-table ``counts``, nonzero at ``types``."""
     alphabet, char_ids, offsets = tb.form_chars
     lengths = tb.form_lengths[types]
@@ -174,9 +163,9 @@ def _char_model(tb: Treebank, types: np.ndarray, counts: np.ndarray) -> CharUnig
     keep = (char_counts > 0) & ~np.isin(alphabet, _DELIMITER_CODES)
     if not keep.any():
         # Degenerate sample whose forms are all delimiter characters.
-        return CharUnigramModel(("x",), np.ones(1))
+        return ("x",), np.ones(1)
     chars, char_counts = tuple(map(chr, alphabet[keep].tolist())), char_counts[keep]
-    return CharUnigramModel(chars, char_counts / char_counts.sum())
+    return chars, char_counts / char_counts.sum()
 
 
 def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
@@ -219,11 +208,11 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
     tb = sample.treebank
     ids = tb.form_ids[sample.tokens]
     counts = np.bincount(ids, minlength=len(tb.forms))
-    first = np.full(len(tb.forms), len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    types = ids[np.sort(first[counts > 0])]  # word types in first-occurrence order
-    model = _char_model(tb, types, counts)
-    codes = np.array([ord(c) for c in model.chars], dtype=np.uint32)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    types = ids[first[order]]  # word types in first-occurrence order
+    chars, probabilities = _char_model(tb, types, counts)
+    codes = np.array([ord(c) for c in chars], dtype=np.uint32)
     lengths = tb.form_lengths[types]
     replacement = [""] * len(types)
     used: set[str] = set()
@@ -232,7 +221,7 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
         if not pending:
             break
         ends = np.cumsum(lengths[pending]).tolist()
-        draw = rng.choice(len(codes), size=ends[-1], p=model.probabilities)
+        draw = rng.choice(len(codes), size=ends[-1], p=probabilities)
         text = codes[draw].tobytes().decode("utf-32-le")
         collided = []
         for k, start, end in zip(pending, [0] + ends, ends):
@@ -243,16 +232,15 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
                 used.add(cand)
         pending = collided
     for k in pending:
-        replacement[k] = _next_free(replacement[k], used, model.chars)
+        replacement[k] = _next_free(replacement[k], used, chars)
         used.add(replacement[k])
         log.warning(
             "distort: retry budget exhausted for a length-%d type; "
             "used deterministic disambiguation",
             lengths[k],
         )
-    rank = np.empty(len(tb.forms), dtype=np.intp)
-    rank[types] = np.arange(len(types))
-    return sample.rows(np.array(replacement, dtype=object)[rank[ids]].tolist())
+    rank = np.argsort(order)  # rank[u]: where the u-th smallest id comes in ``types``
+    return sample.rows(np.array(replacement, dtype=object)[rank[inverse]].tolist())
 
 
 def serialize_rows(rows: Iterable[Iterable[str]]) -> str:

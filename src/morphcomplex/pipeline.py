@@ -171,10 +171,15 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
 
     Each manifest entry is one task, run in a worker when ``jobs > 1``.
     Outcomes come back in manifest order; failures stay with their
-    treebank and are reported in ``treebanks.tsv``.
+    treebank and are reported in ``treebanks.tsv``.  A ``script_exclude``
+    id that names no manifest treebank is an error, raised before ``out``
+    is created.
     """
     config.validate_paths()
     entries = read_manifest(config.manifest)
+    unknown = sorted(config.exclusions.script_excluded_ids - {tb_id for tb_id, _, _ in entries})
+    if unknown:
+        raise ValueError(f"config key script_exclude: not a manifest treebank id: {unknown}")
     os.makedirs(config.out_dir, exist_ok=True)
     if config.jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
@@ -296,26 +301,18 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     meta, _, rows = _read_tsv(path)
     seed = int(meta.get("seed", "0"))
     cells: dict[tuple[str, str], float] = {}
-    tb_order: list[str] = []
-    present: set[str] = set()
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]
         if row[5] not in ("true", "false"):
             raise ValueError(
                 f"{path}: row {tb_id}/{measure}: available is {row[5]!r}, not true or false"
             )
-        available = row[5] == "true"
-        if tb_id not in present:
-            present.add(tb_id)
-            tb_order.append(tb_id)
-        if available and mean != NA:
+        if row[5] == "true" and mean != NA:
             cells[(tb_id, measure)] = float(mean)
+    tb_order = list(dict.fromkeys(row[0] for row in rows))
     measures = tuple(m for m in ALL_MEASURES if any((tb, m) in cells for tb in tb_order))
-    values = np.full((len(tb_order), len(measures)), math.nan)
-    for i, tb_id in enumerate(tb_order):
-        for j, measure in enumerate(measures):
-            if (tb_id, measure) in cells:
-                values[i, j] = cells[(tb_id, measure)]
+    values = np.array([[cells.get((tb, m), math.nan) for m in measures] for tb in tb_order])
+    values = values.reshape(len(tb_order), len(measures))  # also when either is empty
     matrix = MeasureMatrix(tuple(tb_order), measures, values)
 
     _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV))

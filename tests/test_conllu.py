@@ -91,6 +91,12 @@ class TestParse:
         tb = parse_conllu(token_line(1, "a", "a"), "x")
         assert tb.n_tokens == 1
 
+    def test_runs_of_blank_lines_end_one_sentence(self):
+        a, b = token_line(1, "a", "a"), token_line(1, "b", "b")
+        tb = parse_conllu("\n".join(["", "", a, "# c", a, "", " ", "", b, "", "", ""]), "x")
+        assert tb.sentences.tolist() == [0, 2]
+        assert tb.sentences.dtype == "int32"
+
     def test_wrong_column_count_reports_line(self):
         text = token_line(1, "a", "a") + "\n1\tonly-two\n"
         with pytest.raises(ConlluParseError) as err:

@@ -244,19 +244,18 @@ def test_sentence_permutation_leaves_bag_measures_unchanged(permutation_seed):
 
 class TestCharUnigramModel:
     def test_probabilities_sum_to_one(self):
-        model = char_unigram_model(words("aab", "bc"))
-        assert float(model.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+        _, probabilities = char_unigram_model(words("aab", "bc"))
+        assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_token_weighted_counts(self):
-        model = char_unigram_model(words("ab", "ab", "cd"))
-        probs = dict(zip(model.chars, model.probabilities))
+        probs = dict(zip(*char_unigram_model(words("ab", "ab", "cd"))))
         assert probs["a"] == pytest.approx(2 / 6)
         assert probs["c"] == pytest.approx(1 / 6)
 
     def test_delimiters_excluded(self):
         sample = make_sample([[make_token("a b")]])  # rare space-in-form token
-        model = char_unigram_model(sample)
-        assert " " not in model.chars
+        chars, _ = char_unigram_model(sample)
+        assert " " not in chars
 
 
 class TestDistort:

@@ -564,6 +564,29 @@ def test_run_all_with_neg_ia_loads_no_scipy(release, tmp_path):
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
+def test_run_all_loads_no_numpy_ma(release, tmp_path):
+    """``np.unique`` without a ``return_*`` argument imports ``numpy.ma``
+    (numpy 2.4), 15-20 ms of CPU in each process and pool worker.  A run
+    of every stage and all eight measures loads nothing of it beyond what
+    ``import numpy`` itself loads."""
+    _, config, _, _ = release
+    code = "import sys; from morphcomplex import cli; assert cli.main(sys.argv[1:]) == 0"
+    out = str(tmp_path / "out")
+    modules = loaded_modules(code, "run-all", "--config", config, "--jobs", "1", "--out", out)
+    assert "wals_error.svg" in os.listdir(out)
+    assert "numpy.ma" not in set(modules) - set(loaded_modules("import sys, numpy"))
+
+
+def test_unknown_script_exclude_id_rejected(tmp_path, caplog):
+    config = write_release(tmp_path)
+    with open(config, "a", encoding="utf-8") as f:
+        f.write("script_exclude = tb1, zz9, tb10\n")
+    assert cli.main(["run-all", "--config", config]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "script_exclude" in message and "['tb10', 'zz9']" in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_treebank_id_rejected(tmp_path, caplog):
     config = write_release(tmp_path)
     manifest = tmp_path / "manifest.tsv"
