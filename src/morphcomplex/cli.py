@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-
-# The run's parallelism is its ``jobs`` processes.  OpenBLAS, loaded with
-# numpy by the imports below, would start one thread per core in each of
-# them; a value the user set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import RunConfig, apply_overrides, load_config
 from .pipeline import run_analyze, run_measure, run_plot

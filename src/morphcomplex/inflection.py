@@ -3,10 +3,12 @@
 The learner maps each (lemma, form) training pair to an edit script
 (prefix/suffix operations around the longest common substring), then
 trains a multiclass averaged perceptron over script classes with sparse
-character and feature-bundle indicators.  The perceptron runs in dual
-form, patching all training scores once per mistake rather than scoring
-every step.  The reported measure is the negative best mean exact-match
-accuracy under 3-fold cross validation over random hyperparameter draws.
+character and feature-bundle indicators, in dual form from training to
+prediction: a mistake patches every training score, and a query scores
+its Gram row against the training instances times their coefficients,
+so no weight matrix is built.  The reported measure is the negative best
+mean exact-match accuracy under 3-fold cross validation over random
+hyperparameter draws.
 """
 
 from __future__ import annotations
@@ -103,17 +105,13 @@ class Hyperparams:
 
 @dataclass
 class InflectionModel:
-    """Edit-script classes and their summed perceptron weights.
-
-    ``weights[feature_ids[f], c]`` is the weight of feature ``f`` for class
-    ``c`` summed over every training step, which is the averaged weight
-    times the step count and so ranks the classes as the average does.
-    A feature that no training instance has weighs zero.
-    """
+    """Edit-script classes and the perceptron in dual form over the training
+    ``rows`` (see ``train``): a query scores its Gram row against ``rows``
+    times ``dual``, so the summed weights ``X.T @ dual`` are never built."""
 
     scripts: tuple[EditScript, ...]
-    feature_ids: dict[str, int]
-    weights: np.ndarray  # int64, features x classes
+    rows: FeatureRows
+    dual: np.ndarray  # int64, training instances x classes
     params: Hyperparams
 
 
@@ -122,7 +120,7 @@ _BLOCK = 32
 # Features on more than this many entries take the Gram matrix's dense
 # product; the rest add one per pair of their entries.
 _DENSE = 64
-# Rows (or nonzero entries) per block of the blocked products.
+# Rows per block of the Gram matrix's dense product, and sparse features per pass.
 _ROWS = 256
 
 
@@ -186,26 +184,14 @@ def _gram(x: FeatureRows) -> np.ndarray:
     return gram
 
 
-def _transposed_times(
-    x: FeatureRows, rows: np.ndarray, classes: np.ndarray, values: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Exact int64 ``X.T @ D`` for the rows x ``n_classes`` matrix ``D``
-    given by its nonzero entries ``D[rows, classes] += values``."""
-    out = np.zeros((len(x.ids), n_classes), dtype=np.int64)
-    entries = x.take(rows)
-    lengths = np.diff(entries.indptr)
-    flat = entries.cols * n_classes + np.repeat(classes, lengths)
-    np.add.at(out.reshape(-1), flat, np.repeat(values, lengths))
-    return out
-
-
-def _times(x: FeatureRows, weights: np.ndarray) -> np.ndarray:
-    """Exact int64 ``X @ weights`` in row blocks; no row of ``x`` may be empty."""
-    n = len(x.indptr) - 1
-    out = np.empty((n, weights.shape[1]), dtype=np.int64)
-    for r in range(0, n, _ROWS):
-        block = x.take(np.arange(r, min(r + _ROWS, n)))
-        out[r : r + _ROWS] = np.add.reduceat(weights[block.cols], block.indptr[:-1])
+def _scores(gram: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """Exact int64 ``gram.T @ dual`` for a training x queries Gram block:
+    queries x classes.  Each class multiplies only its nonzero
+    coefficients by their Gram rows, since few instances are mistaken."""
+    out = np.zeros((gram.shape[1], dual.shape[1]), dtype=np.int64)
+    for c, coefficients in enumerate(dual.T):
+        on = np.flatnonzero(coefficients)
+        out[:, c] = coefficients[on] @ gram[on]
     return out
 
 
@@ -229,7 +215,8 @@ def train(
     sees the scores a step-by-step learner would.  The integers are exact,
     so ties still go to the lowest class index.  Finally ``T*w - u =
     X.T @ D``, where ``D[j]`` sums ``(T - t) * (e_gold - e_pred)`` over j's
-    mistakes.  The rng only shuffles instance order.  A single-class
+    mistakes: the model keeps ``D`` as ``dual`` and never builds the
+    weights.  The rng only shuffles instance order.  A single-class
     training set yields a model that always predicts that class.
     """
     if not instances:
@@ -264,16 +251,18 @@ def train(
                 mistakes.append((j, g, c, epoch * n + pos))
     j, g, c, t = np.array(mistakes, dtype=np.int64).reshape(-1, 4).T
     left = params.epochs * n - t
-    weights = _transposed_times(rows, np.r_[j, j], np.r_[g, c], np.r_[left, -left], len(classes))
-    return InflectionModel(classes, rows.ids, weights, params)
+    dual = np.zeros((n, len(classes)), dtype=np.int64)
+    np.add.at(dual, (np.r_[j, j], np.r_[g, c]), np.r_[left, -left])
+    return InflectionModel(classes, rows, dual, params)
 
 
-def predict_batch(model: InflectionModel, lemmas: Sequence[str], rows: FeatureRows) -> list[str]:
-    """Apply to each lemma, given its row of features interned by
-    ``model.feature_ids``, the best-scoring edit script whose drops fit it.
-    If none fits, the top one is applied anyway, its drops clamped.
+def predict_batch(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarray) -> list[str]:
+    """Apply to each lemma, given the Gram block of ``model.rows`` against
+    the lemmas' features (training instances x lemmas), the best-scoring
+    edit script whose drops fit it.  If none fits, the top one is applied
+    anyway, its drops clamped.
     """
-    scores = _times(rows, model.weights)
+    scores = _scores(gram, model.dual)
     drops = np.array([s.prefix_drop + s.suffix_drop for s in model.scripts])
     fits = drops <= np.array([len(lemma) for lemma in lemmas])[:, None]
     best = np.where(fits, scores, np.iinfo(np.int64).min).argmax(axis=1)
@@ -286,10 +275,13 @@ def predict_batch(model: InflectionModel, lemmas: Sequence[str], rows: FeatureRo
 
 def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
     """``predict_batch`` for one lemma and feature bundle; features unseen in
-    training count zero."""
-    known = model.feature_ids
-    feats = [f for f in featurize(lemma, feature_bundle, model.params.ngram_order) if f in known]
-    return predict_batch(model, [lemma], _count_matrix([feats], known))[0]
+    training count zero.  The Gram row sums, per training row, the query's
+    counts of that row's features; every row holds ``bias``, so none is empty."""
+    rows = model.rows
+    feats = featurize(lemma, feature_bundle, model.params.ngram_order)
+    counts = np.bincount([rows.ids[f] for f in feats if f in rows.ids], minlength=len(rows.ids))
+    gram = np.add.reduceat(counts[rows.cols], rows.indptr[:-1])
+    return predict_batch(model, [lemma], gram[:, None])[0]
 
 
 @dataclass(frozen=True)
@@ -327,8 +319,9 @@ def cross_validate(
     draw is evaluated on the same folds with its own derived generator, so
     draws are run grouped by n-gram order and fold without changing the
     result.  Each order featurizes and interns the instances once, and each
-    fold trains and scores on row slices of that one matrix and of its Gram
-    matrix.  Ties between draws break toward the earlier draw.
+    fold trains on row slices of that one matrix and of its Gram matrix and
+    scores on the Gram block of its training against its test rows.  Ties
+    between draws break toward the earlier draw.
     """
     if len(instances) < config.n_folds:
         raise ValueError(f"need at least {config.n_folds} instances, got {len(instances)}")
@@ -354,7 +347,7 @@ def cross_validate(
         gram = _gram(x)
         for f, (train_idx, test_idx, train_set, train_scripts, test_set) in enumerate(splits):
             train_rows, train_gram = x.take(train_idx), gram[np.ix_(train_idx, train_idx)]
-            test_rows = x.take(test_idx)
+            test_gram = gram[np.ix_(train_idx, test_idx)]
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 model = train(
                     train_set,
@@ -364,9 +357,10 @@ def cross_validate(
                     script_cache=train_scripts,
                     gram=train_gram,
                 )
-                predicted = predict_batch(model, [i.lemma for i in test_set], test_rows)
+                predicted = predict_batch(model, [i.lemma for i in test_set], test_gram)
                 correct = sum(p == i.form for p, i in zip(predicted, test_set))
                 fold_acc[draw][f] = correct / len(test_set)
+        del gram, train_gram, test_gram, model  # before the next order's Gram matrix
     means = [float(np.mean(acc)) for acc in fold_acc]
     best = max(range(config.n_draws), key=lambda d: (means[d], -d))
     return IAResult(tuple(fold_acc[best]), means[best], draws[best], config.n_draws)

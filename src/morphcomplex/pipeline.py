@@ -210,20 +210,18 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
         if outcome.error:
             continue
         for measure in config.measures:
-            stats = outcome.stats.get(measure)
-            if stats is None:  # excluded by rule: never computed
-                rows.append([outcome.treebank_id, measure, NA, NA, "0", "false"])
-            else:
-                rows.append(
-                    [
-                        outcome.treebank_id,
-                        measure,
-                        _fmt(stats.mean),
-                        _fmt(stats.stddev),
-                        str(stats.n_repetitions),
-                        "true" if stats.available else "false",
-                    ]
-                )
+            # A measure excluded by rule was never computed.
+            stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
+            rows.append(
+                [
+                    outcome.treebank_id,
+                    measure,
+                    _fmt(stats.mean),
+                    _fmt(stats.stddev),
+                    str(stats.n_repetitions),
+                    "true" if stats.available else "false",
+                ]
+            )
     _write_tsv(
         os.path.join(config.out_dir, MEASURES_TSV),
         meta,

@@ -16,8 +16,7 @@ from morphcomplex.inflection import (
     _DENSE,
     _count_matrix,
     _gram,
-    _times,
-    _transposed_times,
+    _scores,
     canonical_bundle,
     cross_validate,
     derive_edit_script,
@@ -236,8 +235,8 @@ class TestTrainPredict:
     def test_identical_inputs_identical_weights(self):
         _, m1 = toy_model(seed=4)
         _, m2 = toy_model(seed=4)
-        assert m1.feature_ids == m2.feature_ids
-        assert np.array_equal(m1.weights, m2.weights)
+        assert m1.rows.ids == m2.rows.ids
+        assert np.array_equal(m1.dual, m2.dual)
 
     def test_unfitting_scripts_skipped_in_ranking(self):
         # both classes present; the long-drop script cannot apply to a short lemma
@@ -357,10 +356,10 @@ def irregular_toy_instances(n_lemmas: int, seed: int):
 
 
 class TestMatchesReferenceLearner:
-    """At step 1 the integer learner's weights are the reference's averaged
-    weights times the step count T, exactly.  Both sides are integers below
-    2**53 divided by T, so the comparison ``weights / T == averaged`` is
-    exact in floats."""
+    """At step 1 the weights the integer learner's dual form stands for,
+    ``X.T @ dual``, are the reference's averaged weights times the step
+    count T, exactly.  Both sides are integers below 2**53 divided by T, so
+    the comparison ``X.T @ dual / T == averaged`` is exact in floats."""
 
     @pytest.mark.parametrize(
         "instances",
@@ -395,14 +394,15 @@ def assert_matches_reference(instances, params, seed):
         instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
     )
     assert model.scripts == classes
-    expected = np.zeros(model.weights.shape)
+    weights = dense(model.rows).T @ model.dual
+    expected = np.zeros(weights.shape)
     for f, row in averaged.items():
         for c, value in row.items():
-            expected[model.feature_ids[f], c] = value
+            expected[model.rows.ids[f], c] = value
     if steps:
-        assert np.array_equal(model.weights / steps, expected)
+        assert np.array_equal(weights / steps, expected)
     else:
-        assert len(classes) == 1 and not model.weights.any()
+        assert len(classes) == 1 and not model.dual.any()
     queries = [(i.lemma, i.feature_bundle) for i in instances]
     queries += [("zebra", b) for b in ("Number=Plur", "Tense=Past", "X=1", "Y=2")]
     for lemma, bundle in queries:
@@ -485,24 +485,20 @@ class TestExactProducts:
         assert _gram(_count_matrix([["x"] * 15], {})).dtype == np.uint8
         assert _gram(_count_matrix([["x"] * 16], {})).dtype == np.uint16
 
-    def test_transposed_times(self):
+    @pytest.mark.parametrize("n_queries", [1, 60])
+    def test_scores(self, n_queries):
+        """Rows with repeated features, coefficients of +-10**12 and a class
+        (3) whose coefficients are all zero."""
         x = self.threshold_rows()
+        train_idx, test_idx = np.arange(150 - n_queries), np.arange(150 - n_queries, 150)
         rng = np.random.default_rng(3)
-        rows = rng.integers(0, 150, 900)  # repeated (row, class) entries sum
-        classes = rng.integers(0, 7, 900)
-        values = rng.integers(-(10**12), 10**12, 900)
-        d = np.zeros((150, 7), dtype=np.int64)
-        np.add.at(d, (rows, classes), values)
-        got = _transposed_times(x, rows, classes, values, 7)
+        d = np.zeros((len(train_idx), 7), dtype=np.int64)
+        cells = (rng.integers(0, len(train_idx), 900), rng.choice([0, 1, 2, 4, 5, 6], 900))
+        np.add.at(d, cells, rng.integers(-(10**12), 10**12, 900))
+        assert not d[:, 3].any() and np.abs(d).max() > 10**12
+        got = _scores(_gram(x)[np.ix_(train_idx, test_idx)], d)
         assert got.dtype == np.int64
-        assert np.array_equal(got, dense(x).T @ d)
-
-    def test_times(self):
-        x = self.threshold_rows(n=600)
-        weights = np.random.default_rng(4).integers(-(10**12), 10**12, (len(x.ids), 9))
-        got = _times(x, weights)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, dense(x) @ weights)
+        assert np.array_equal(got, dense(x)[test_idx] @ dense(x)[train_idx].T @ d)
 
     def test_features_unseen_in_training_weigh_zero(self):
         x = _count_matrix(random_rows(5, 60, n_features=200), {})
@@ -510,14 +506,14 @@ class TestExactProducts:
         train_rows = x.take(train_idx)
         assert np.array_equal(dense(train_rows), dense(x)[train_idx])
         rows = np.arange(30).repeat(3)
-        values = np.arange(90) * 10**9
-        weights = _transposed_times(train_rows, rows, rows % 4, values, 4)
-        unseen = sorted(set(x.take(test_idx).cols.tolist()) - set(train_rows.cols.tolist()))
-        assert unseen and not weights[unseen].any()
         d = np.zeros((30, 4), dtype=np.int64)
-        np.add.at(d, (rows, rows % 4), values)
-        expected = dense(x)[test_idx] @ (dense(train_rows).T @ d)
-        assert np.array_equal(_times(x.take(test_idx), weights), expected)
+        np.add.at(d, (rows, rows % 4), np.arange(90) * 10**9)
+        unseen = sorted(set(x.take(test_idx).cols.tolist()) - set(train_rows.cols.tolist()))
+        seen = dense(x)[test_idx]
+        assert unseen and seen[:, unseen].any()
+        seen[:, unseen] = 0
+        expected = seen @ dense(train_rows).T @ d
+        assert np.array_equal(_scores(_gram(x)[np.ix_(train_idx, test_idx)], d), expected)
 
     def test_shared_rows_match_own_interning(self):
         """A model trained on slices of rows interned over every instance
@@ -531,14 +527,11 @@ class TestExactProducts:
         own = train(train_set, params, np.random.default_rng(1))
         shared = train(train_set, params, np.random.default_rng(1), rows=x.take(train_idx))
         assert own.scripts == shared.scripts
-        own_weights = {f: own.weights[i].tolist() for f, i in own.feature_ids.items()}
-        zero = [0] * len(own.scripts)
-        assert {f: shared.weights[i].tolist() for f, i in shared.feature_ids.items()} == {
-            f: own_weights.get(f, zero) for f in shared.feature_ids
-        }
-        assert len(shared.feature_ids) > len(own.feature_ids)
+        assert np.array_equal(own.dual, shared.dual)
+        assert len(shared.rows.ids) > len(own.rows.ids)
         lemmas = [instances[i].lemma for i in test_idx]
-        assert predict_batch(shared, lemmas, x.take(test_idx)) == [
+        gram = _gram(x)[np.ix_(train_idx, test_idx)]
+        assert predict_batch(shared, lemmas, gram) == [
             predict(own, instances[i].lemma, instances[i].feature_bundle) for i in test_idx
         ]
 
@@ -556,13 +549,13 @@ class TestPredictBatch:
     @staticmethod
     def check(model, queries):
         lemmas = [lemma for lemma, _ in queries]
-        known = model.feature_ids
+        known = model.rows.ids
         feats = [
             [f for f in featurize(lemma, b, model.params.ngram_order) if f in known]
             for lemma, b in queries
         ]
-        rows = _count_matrix(feats, known)
-        assert predict_batch(model, lemmas, rows) == [predict(model, *q) for q in queries]
+        gram = dense(model.rows) @ dense(_count_matrix(feats, known)).T
+        assert predict_batch(model, lemmas, gram) == [predict(model, *q) for q in queries]
 
     def test_held_out_queries(self):
         instances = irregular_toy_instances(80, seed=3)

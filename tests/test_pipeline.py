@@ -514,8 +514,8 @@ def test_cli_import_loads_no_scipy_urllib_or_process_pool():
 
 
 def test_package_import_loads_no_numpy():
-    """The CLI must pin OpenBLAS's threads before numpy loads, and
-    ``python -m morphcomplex.cli`` imports the package first."""
+    """The package must pin OpenBLAS's threads before numpy loads, and every
+    module of it, ``python -m morphcomplex.cli`` included, imports it first."""
     modules = loaded_modules("import sys, morphcomplex")
     assert "morphcomplex" in modules
     assert "numpy" not in modules
@@ -528,6 +528,13 @@ def test_cli_import_pins_openblas_threads_unless_set(preset, expected):
         env["OPENBLAS_NUM_THREADS"] = preset
     code = "import os, morphcomplex.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert fresh_python(code, env=env).strip() == expected
+
+
+def test_pipeline_import_pins_openblas_threads():
+    """Library use of the pipeline, without the CLI, runs BLAS on one thread too."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = "import os, morphcomplex.pipeline; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, env=env).strip() == "1"
 
 
 def test_run_all_without_neg_ia_loads_no_scipy(release, tmp_path):

@@ -1,4 +1,6 @@
-"""A dataclass field that nothing reads is a value the program stores for no one."""
+"""A dataclass field that nothing reads is a value the program stores for
+no one, and a private function that nothing calls is code kept for its
+tests alone."""
 
 import ast
 from pathlib import Path
@@ -31,6 +33,20 @@ def dataclass_fields(tree: ast.Module):
                     yield f"{node.name}.{item.target.id}", item.target.id
 
 
+def private_functions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name[:1] == "_" and node.name[:2] != "__":
+            yield node.name
+
+
+def names_loaded(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def attributes_read(tree: ast.Module) -> set[str]:
     return {
         node.attr
@@ -53,3 +69,18 @@ def test_every_dataclass_field_is_read():
     ]
     assert fields, "no dataclass found"
     assert [qualified for qualified, name in fields if name not in read] == []
+
+
+def test_every_private_function_is_used():
+    """Each module-level ``_name`` function of the package is called or
+    referenced, as a name or an attribute, in the package or the benchmark
+    harness; the tests alone do not keep it."""
+    package = sorted((ROOT / "src" / "morphcomplex").glob("*.py"))
+    readers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    used: set[str] = set()
+    for tree in trees.values():
+        used |= names_loaded(tree) | attributes_read(tree)
+    private = [(path.stem, name) for path in package for name in private_functions(trees[path])]
+    assert private, "no private function found"
+    assert [f"{module}.{name}" for module, name in private if name not in used] == []
