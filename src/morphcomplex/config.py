@@ -135,7 +135,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         text = f.read()
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 

@@ -2,7 +2,9 @@
 
 All tabular outputs are TSV (UTF-8, header row, ``NA`` for unavailable
 cells) with ``#`` metadata lines on top; the run seed is recorded in every
-file so outputs are traceable to their configuration.
+file so outputs are traceable to their configuration.  Before it writes, a
+stage deletes its own outputs and those of every later stage, so no file
+left by an earlier run is read as this run's.
 """
 
 from __future__ import annotations
@@ -46,13 +48,26 @@ MEASURES_SVG = "measures.svg"
 PCA_SVG = "pca.svg"
 WALS_ERROR_SVG = "wals_error.svg"
 
+# Every file each stage writes, in stage order.
+_STAGE_OUTPUTS = {
+    "measure": (MEASURES_TSV, TREEBANKS_TSV, RUN_META_JSON, IA_PARAMS_JSON),
+    "analyze": (CORRELATIONS_TSV, PCA_TSV, PCA_SCORES_TSV, RIDGE_TSV, ANALYZE_META_JSON),
+    "plot": (MEASURES_SVG, PCA_SVG, WALS_ERROR_SVG),
+}
+
 NA = "NA"
 
 
-def _fmt(value: float | None) -> str:
+def _cell(value: object) -> str:
+    """One TSV cell: ``NA`` for None or NaN, ``true``/``false`` for a bool,
+    12 significant digits for a float, ``str`` of anything else."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return NA
-    return f"{value:.12g}"
+    if isinstance(value, (bool, np.bool_)):  # before int: a bool is an int
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
 def _write_atomic(path: str, text: str):
@@ -68,21 +83,23 @@ def _write_atomic(path: str, text: str):
             os.unlink(tmp)
 
 
-def _remove_outputs(out_dir: str, *names: str):
-    """Delete earlier runs' copies of outputs this run may not write."""
-    for name in names:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
+def _remove_outputs(out_dir: str, stage: str):
+    """Delete earlier runs' outputs of ``stage`` and of every later stage."""
+    stages = list(_STAGE_OUTPUTS)
+    for later in stages[stages.index(stage):]:
+        for name in _STAGE_OUTPUTS[later]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
 
 
 def _write_json(path: str, obj: object):
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_tsv(path: str, meta: dict[str, object], header: list[str], rows: list[list[str]]):
+def _write_tsv(path: str, meta: dict[str, object], header: list[str], rows: list[list[object]]):
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append("\t".join(header))
-    lines.extend("\t".join(row) for row in rows)
+    lines.extend("\t".join(map(_cell, row)) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -181,6 +198,7 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     if unknown:
         raise ValueError(f"config key script_exclude: not a manifest treebank id: {unknown}")
     os.makedirs(config.out_dir, exist_ok=True)
+    _remove_outputs(config.out_dir, "measure")
     if config.jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -205,41 +223,21 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
         "repetitions": config.sample.repetitions,
         "compressor": COMPRESSOR_SETTING,
     }
-    rows: list[list[str]] = []
+    rows: list[list[object]] = []
     for outcome in outcomes:
         if outcome.error:
             continue
         for measure in config.measures:
             # A measure excluded by rule was never computed.
             stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
-            rows.append(
-                [
-                    outcome.treebank_id,
-                    measure,
-                    _fmt(stats.mean),
-                    _fmt(stats.stddev),
-                    str(stats.n_repetitions),
-                    "true" if stats.available else "false",
-                ]
-            )
-    _write_tsv(
-        os.path.join(config.out_dir, MEASURES_TSV),
-        meta,
-        ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"],
-        rows,
-    )
+            rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
+                         stats.n_repetitions, stats.available])
+    header = ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"]
+    _write_tsv(os.path.join(config.out_dir, MEASURES_TSV), meta, header, rows)
 
     tb_rows = [
-        [
-            o.treebank_id,
-            o.language_code,
-            o.status,
-            str(o.n_sentences),
-            str(o.n_tokens),
-            str(o.n_feature_keys),
-            _exclusions_cell(o.exclusions),
-            o.error.replace("\t", " ").replace("\n", " ") or "-",
-        ]
+        [o.treebank_id, o.language_code, o.status, o.n_sentences, o.n_tokens, o.n_feature_keys,
+         _exclusions_cell(o.exclusions), o.error.replace("\t", " ").replace("\n", " ") or "-"]
         for o in outcomes
     ]
     _write_tsv(
@@ -326,30 +324,20 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     from .wals import encode, load_wals, match_rows
 
     matrix, languages, seed = read_measure_matrix(out_dir)
-    _remove_outputs(out_dir, PCA_TSV, PCA_SCORES_TSV, RIDGE_TSV)
+    _remove_outputs(out_dir, "analyze")
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
-    corr_rows: list[list[str]] = []
+    corr_rows: list[list[object]] = []
     for method in ("pearson", "spearman"):
         cm = correlation_matrix(matrix, method)
         for i, j in zip(*np.triu_indices(len(cm.measures))):
             corr_rows.append(
-                [
-                    method,
-                    cm.measures[i],
-                    cm.measures[j],
-                    _fmt(cm.values[i, j]),
-                    "true" if cm.significant[i, j] else "false",
-                    str(cm.n_complete[i, j]),
-                ]
+                [method, cm.measures[i], cm.measures[j], cm.values[i, j],
+                 cm.significant[i, j], cm.n_complete[i, j]]
             )
-    _write_tsv(
-        os.path.join(out_dir, CORRELATIONS_TSV),
-        meta,
-        ["method", "measure_i", "measure_j", "value", "significant", "n_complete"],
-        corr_rows,
-    )
+    corr_header = ["method", "measure_i", "measure_j", "value", "significant", "n_complete"]
+    _write_tsv(os.path.join(out_dir, CORRELATIONS_TSV), meta, corr_header, corr_rows)
 
     pca_result = None
     complete = matrix.complete_rows()
@@ -371,14 +359,13 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
             f"loading:{m}" for m in matrix.measures
         ]
         loading_rows = [
-            [str(k + 1), _fmt(float(pca_result.explained_ratios[k]))]
-            + [_fmt(float(v)) for v in pca_result.loadings[k]]
+            [k + 1, pca_result.explained_ratios[k], *pca_result.loadings[k]]
             for k in range(pca_result.loadings.shape[0])
         ]
         _write_tsv(os.path.join(out_dir, PCA_TSV), meta, loading_header, loading_rows)
         pc_names = [f"pc{k + 1}" for k in range(pca_result.scores.shape[1])]
         score_rows = [
-            [tb] + [_fmt(float(v)) for v in scores]
+            [tb, *scores]
             for tb, scores in zip(np.array(matrix.treebank_ids)[complete], pca_result.scores)
         ]
         scores_path = os.path.join(out_dir, PCA_SCORES_TSV)
@@ -389,9 +376,9 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         targets = np.hstack([targets, pc_columns])
         target_names += pc_names
 
-    ridge_rows: list[list[str]] = []
+    ridge_rows: list[list[object]] = []
     if config.wals_csv is not None:
-        with open(config.wals_csv, encoding="utf-8") as f:
+        with open(config.wals_csv, encoding="utf-8-sig") as f:
             records = load_wals(f.read())
         # Targets over the same languages share one design and one ridge fit.
         row_sets: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
@@ -408,14 +395,9 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         for codes, columns in row_sets.items():
             report = ridge_loocv(encode(records, codes).matrix, np.hstack([*columns.values()]))
             for k, name in enumerate(columns):
+                alphas = ";".join(map(_cell, report.chosen_alphas[:, k]))
                 ridge_rows.append(
-                    [
-                        name,
-                        str(len(codes)),
-                        _fmt(float(report.rmse[k])),
-                        _fmt(float(report.error_reduction[k])),
-                        ";".join(_fmt(a) for a in report.chosen_alphas[:, k].tolist()),
-                    ]
+                    [name, len(codes), report.rmse[k], report.error_reduction[k], alphas]
                 )
         ridge_rows.sort(key=lambda row: target_names.index(row[0]))
         ridge_header = ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"]
@@ -445,7 +427,7 @@ def run_plot(out_dir: str) -> list[str]:
         _write_atomic(written[-1], svg)
 
     matrix, _, seed = read_measure_matrix(out_dir)
-    _remove_outputs(out_dir, PCA_SVG, WALS_ERROR_SVG)
+    _remove_outputs(out_dir, "plot")
     write(MEASURES_SVG, svgplot.measure_panels(matrix, seed=seed))
 
     scores_path = os.path.join(out_dir, PCA_SCORES_TSV)

@@ -63,6 +63,12 @@ def test_load_config_resolves_against_the_files_directory(tmp_path):
     assert config.out_dir == os.path.join(str(tmp_path), "out")
 
 
+def test_load_config_skips_a_bom(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+    assert load_config(str(path)).manifest == os.path.join(str(tmp_path), "manifest.tsv")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

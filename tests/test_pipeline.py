@@ -3,8 +3,10 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -112,13 +114,15 @@ def release(tmp_path_factory):
 def test_run_all_writes_every_output(release):
     root, _, code, _ = release
     assert code == 0
-    assert sorted(os.listdir(root / "out")) == sorted(
+    written = sorted(os.listdir(root / "out"))
+    assert written == sorted(
         [
             "measures.tsv", "treebanks.tsv", "run_meta.json", "ia_params.json",
             "correlations.tsv", "pca.tsv", "pca_scores.tsv", "ridge.tsv",
             "analyze_meta.json", "measures.svg", "pca.svg", "wals_error.svg",
         ]
     )
+    assert written == sorted(n for names in pipeline._STAGE_OUTPUTS.values() for n in names)
     meta = json.loads((root / "out" / "analyze_meta.json").read_text(encoding="utf-8"))
     assert meta["errors"] == {}
     assert meta["n_pca_rows"] == N_TREEBANKS
@@ -138,11 +142,13 @@ def test_ridge_rows_match_solve_reference(release):
         assert record["rmse"] == f"{rmse:.12g}"
 
 
-def analyze_cut_measures(release, tmp_path, cut, config_lines=""):
+def analyze_cut_measures(release, tmp_path, cut, config_lines="", wals=None):
     """Run ``analyze`` on the release's measures.tsv cut to ``cut(text)``,
-    with the release's WALS CSV and ``config_lines`` added to the run
-    configuration; returns the exit code and the output directory."""
+    with ``wals`` (default: the release's WALS CSV) and ``config_lines``
+    added to the run configuration; returns the exit code and the output
+    directory."""
     root, _, _, _ = release
+    wals = wals or root / "wals.csv"
     out = tmp_path / "out"
     out.mkdir()
     for name in ("measures.tsv", "treebanks.tsv"):
@@ -151,7 +157,7 @@ def analyze_cut_measures(release, tmp_path, cut, config_lines=""):
     (out / "measures.tsv").write_text(cut(measures), encoding="utf-8")
     config = tmp_path / "run.cfg"
     config.write_text(
-        f"manifest = {root / 'manifest.tsv'}\nout = {out}\nwals = {root / 'wals.csv'}\n"
+        f"manifest = {root / 'manifest.tsv'}\nout = {out}\nwals = {wals}\n"
         + config_lines,
         encoding="utf-8",
     )
@@ -240,6 +246,15 @@ def test_one_ridge_fit_per_row_set(release, tmp_path, monkeypatch):
     assert rows == reference_ridge_rows(out, root / "wals.csv")
 
 
+def test_wals_csv_with_bom_is_read(release, tmp_path):
+    root, _, _, _ = release
+    wals = tmp_path / "bom.csv"
+    wals.write_bytes(b"\xef\xbb\xbf" + (root / "wals.csv").read_bytes())
+    code, out = analyze_cut_measures(release, tmp_path, lambda text: text, wals=wals)
+    assert code == 0
+    assert (out / "ridge.tsv").read_bytes() == (root / "out" / "ridge.tsv").read_bytes()
+
+
 def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
     code, out = analyze_cut_measures(release, tmp_path, lambda text: text[: len(text) // 2])
     assert code == 1
@@ -295,6 +310,18 @@ def test_measures_tsv_cut_inside_available_fails_analyze(release, tmp_path):
         pipeline.read_measure_matrix(str(out))
 
 
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (None, "NA"), (math.nan, "NA"), (np.float64("nan"), "NA"), (True, "true"),
+        (np.bool_(False), "false"), (7, "7"), (np.int64(7), "7"), (0.1 + 0.2, "0.3"),
+        (1e-20, "1e-20"), (-0.0, "-0"), ("x", "x"),
+    ],
+)
+def test_cell_format(value, cell):
+    assert pipeline._cell(value) == cell
+
+
 def test_no_ridge_row_for_rounding_level_component(tmp_path):
     """Six complete treebanks and eight measures leave five components."""
     ids = [f"tb{i}" for i in range(6)]
@@ -348,6 +375,38 @@ def test_plot_removes_figures_whose_tables_are_gone(release, tmp_path):
         (out / name).write_bytes((root / "out" / name).read_bytes())
     assert pipeline.run_plot(str(out)) == [str(out / "measures.svg")]
     assert sorted(os.listdir(out)) == ["measures.svg", "measures.tsv", "treebanks.tsv"]
+
+
+def test_measure_removes_every_later_stages_outputs(release, tmp_path):
+    """``plot`` after a new ``measure`` draws no figure from the earlier run's analysis."""
+    root, config, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    assert cli.main(["measure", "--config", config, "--out", str(out), "--seed", "8"]) == 0
+    measured = ["ia_params.json", "measures.tsv", "run_meta.json", "treebanks.tsv"]
+    assert sorted(os.listdir(out)) == measured
+    assert pipeline.run_plot(str(out)) == [str(out / "measures.svg")]
+    assert sorted(os.listdir(out)) == sorted(measured + ["measures.svg"])
+
+
+def test_stopped_measure_leaves_nothing_for_analyze(release, tmp_path, monkeypatch):
+    root, config, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    original, calls = pipeline._measure_one, []
+
+    def stopped_on_second(entry, config):
+        calls.append(entry)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return original(entry, config)
+
+    monkeypatch.setattr(pipeline, "_measure_one", stopped_on_second)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["measure", "--config", config, "--out", str(out), "--seed", "8"])
+    assert os.listdir(out) == []
+    assert cli.main(["analyze", "--config", config, "--out", str(out)]) == 1
+    assert os.listdir(out) == []
 
 
 def write_failure_release(root):
