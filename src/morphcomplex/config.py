@@ -40,10 +40,11 @@ class RunConfig:
             raise ValueError(f"config key measures: names listed twice {repeated}")
 
     def validate_paths(self):
-        if not os.path.exists(self.manifest):
-            raise FileNotFoundError(f"manifest not found: {self.manifest}")
-        if self.wals_csv is not None and not os.path.exists(self.wals_csv):
-            raise FileNotFoundError(f"WALS CSV not found: {self.wals_csv}")
+        """Require the manifest and any WALS CSV to be files, so that a blank
+        or directory path fails before the measure stage, not after it."""
+        for key, path in (("manifest", self.manifest), ("wals", self.wals_csv)):
+            if path is not None and not os.path.isfile(path):
+                raise FileNotFoundError(f"config key {key}: not a file: {path}")
 
 
 _KNOWN_KEYS = {

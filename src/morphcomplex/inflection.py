@@ -6,9 +6,13 @@ trains a multiclass averaged perceptron over script classes with sparse
 character and feature-bundle indicators, in dual form from training to
 prediction: a mistake patches every training score, and a query scores
 its Gram row against the training instances times their coefficients,
-so no weight matrix is built.  The reported measure is the negative best
-mean exact-match accuracy under 3-fold cross validation over random
-hyperparameter draws.
+so no weight matrix is built.  Nor is the feature matrix X: for n-grams
+up to order K, ``G = X @ X.T`` has the closed form (see ``_gram``)
+
+    G[i, j] = 1 + min(K, lcp) + min(K, lcs) + P * (1 + [same last char])
+
+The reported measure is the negative best mean exact-match accuracy
+under 3-fold cross validation over random hyperparameter draws.
 """
 
 from __future__ import annotations
@@ -85,15 +89,15 @@ def derive_edit_script(lemma: str, form: str) -> EditScript:
     return EditScript(start_l, form[:start_f], len(lemma) - end_l, form[end_f:])
 
 
-def featurize(lemma: str, feature_bundle: str, ngram_order: int) -> list[str]:
-    """Sparse binary features for one instance: edge-anchored lemma character
-    n-grams of orders 1..K, one indicator per Key=Value pair, and each pair
-    conjoined with the final lemma character."""
-    feats = ["bias"]
+def featurize(lemma: str, feature_bundle: str, ngram_order: int) -> list[tuple[str, str]]:
+    """Sparse binary features as (kind, text) pairs, so no two kinds share
+    one: a bias, edge-anchored lemma character n-grams of orders 1..K, each
+    Key=Value pair, and each pair conjoined with the final lemma character."""
+    feats = [("bias", "")]
     for n in range(1, min(ngram_order, len(lemma)) + 1):
-        feats += ["^" + lemma[:n], lemma[-n:] + "$"]
+        feats += [("^", lemma[:n]), ("$", lemma[-n:])]
     for pair in feature_bundle.split("|"):
-        feats += [pair, f"{pair}&end={lemma[-1]}"]
+        feats += [("pair", pair), ("end", f"{pair}&end={lemma[-1]}")]
     return feats
 
 
@@ -105,83 +109,63 @@ class Hyperparams:
 
 @dataclass
 class InflectionModel:
-    """Edit-script classes and the perceptron in dual form over the training
-    ``rows`` (see ``train``): a query scores its Gram row against ``rows``
-    times ``dual``, so the summed weights ``X.T @ dual`` are never built."""
+    """Edit-script classes and the perceptron in dual form (see ``train``):
+    a query scores its Gram row against the training ``rows`` times ``dual``."""
 
     scripts: tuple[EditScript, ...]
-    rows: FeatureRows
+    rows: list[tuple[str, str]]  # (lemma, feature bundle) per training instance
     dual: np.ndarray  # int64, training instances x classes
     params: Hyperparams
 
 
 # Instances scored per argmax; a mistake ends a block early.  Fastest size.
 _BLOCK = 32
-# Features on more than this many entries take the Gram matrix's dense
-# product; the rest add one per pair of their entries.
-_DENSE = 64
-# Rows per block of the Gram matrix's dense product, and sparse features per pass.
-_ROWS = 256
 
 
-@dataclass(frozen=True)
-class FeatureRows:
-    """Instance-by-feature counts in CSR form: row ``r`` lists the feature
-    ids ``cols[indptr[r] : indptr[r + 1]]``, a repeated feature once per
-    occurrence.  ``ids`` interns the feature strings and may hold features
-    that no row here uses."""
-
-    ids: dict[str, int]
-    indptr: np.ndarray
-    cols: np.ndarray
-
-    def take(self, rows: np.ndarray) -> FeatureRows:
-        """The given rows, in the given order, over the same ``ids``."""
-        lengths = np.diff(self.indptr)[rows]
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        starts = np.repeat(self.indptr[rows] - indptr[:-1], lengths)
-        return FeatureRows(self.ids, indptr, self.cols[starts + np.arange(indptr[-1])])
+def _distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct strings and each value's index among them."""
+    return np.unique(np.array(values, dtype=object), return_inverse=True)
 
 
-def _count_matrix(feats: Sequence[Sequence[str]], ids: dict[str, int]) -> FeatureRows:
-    """Rows of ``feats`` interned by ``ids``; a feature new to ``ids`` gets the next id."""
-    cols = np.fromiter((ids.setdefault(f, len(ids)) for x in feats for f in x), dtype=np.int64)
-    return FeatureRows(ids, np.cumsum([0] + [len(x) for x in feats]), cols)
+def _common_prefixes(a: Sequence[str], b: Sequence[str], order: int) -> np.ndarray:
+    """``min(order, length of the common prefix)`` of each string in ``a``
+    with each in ``b``, as uint8, from their first ``order`` code points;
+    capping at both lengths stops zero padding matching a zero code point."""
+    pa, pb = (np.array(s, dtype=f"<U{order}").view(np.uint32).reshape(len(s), order) for s in (a, b))
+    same = np.ones((len(a), len(b)), dtype=bool)
+    common = np.zeros((len(a), len(b)), dtype=np.uint8)
+    for n in range(order):
+        same &= pa[:, n, None] == pb[:, n]
+        common += same
+    lengths = [np.minimum([len(x) for x in s], order).astype(np.uint8) for s in (a, b)]
+    return np.minimum(common, np.minimum.outer(*lengths))
 
 
-def _gram(x: FeatureRows) -> np.ndarray:
-    """Exact ``X @ X.T`` in the smallest unsigned type holding its largest
-    (diagonal) entry.  Features on more than ``_DENSE`` entries are
-    multiplied as a dense float matrix in row blocks, exact since every sum
-    is an integer no larger than that entry: float32 below 2**24.  Each other feature adds 1 to ``G[a, b]``
-    for every pair of its entries on rows a and b, so a feature counted
-    twice on a row adds 2 * 2 to its diagonal."""
-    n, n_ids = len(x.indptr) - 1, len(x.ids)
-    rows = np.repeat(np.arange(n), np.diff(x.indptr))
-    cells, counts = np.unique(rows * n_ids + x.cols, return_counts=True)
-    top = np.bincount(cells // n_ids, counts * counts, minlength=n).max(initial=0)
-    gram = np.empty((n, n), dtype=np.min_scalar_type(int(top)))
-    per_feature = np.bincount(x.cols, minlength=n_ids)
-    dense = per_feature > _DENSE
-    on = dense[x.cols]
-    xd = np.zeros((n, int(dense.sum())), dtype=np.float32 if top < 2**24 else np.float64)
-    xd_flat = rows[on] * xd.shape[1] + (np.cumsum(dense) - 1)[x.cols[on]]
-    np.add.at(xd.reshape(-1), xd_flat, np.ones(len(xd_flat), xd.dtype))
-    for r in range(0, n, _ROWS):
-        gram[r : r + _ROWS] = xd[r : r + _ROWS] @ xd.T
-    # The sparse features' entries grouped by feature; a pass over _ROWS
-    # groups enumerates at most _ROWS * _DENSE**2 pairs.
-    grouped = rows[~on][np.argsort(x.cols[~on], kind="stable")]
-    sizes = per_feature[(per_feature > 0) & ~dense]
-    starts = np.cumsum(sizes) - sizes
-    for g in range(0, len(sizes), _ROWS):
-        pairs = sizes[g : g + _ROWS] ** 2
-        k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        first = np.repeat(starts[g : g + _ROWS], pairs)
-        size = np.repeat(sizes[g : g + _ROWS], pairs)
-        flat = grouped[first + k // size] * n + grouped[first + k % size]
-        np.add.at(gram.reshape(-1), flat, np.ones(len(flat), gram.dtype))
-    return gram
+def _gram(a: Sequence[tuple[str, str]], b: Sequence[tuple[str, str]], order: int) -> np.ndarray:
+    """Exact ``X_a @ X_b.T`` for the ``featurize`` counts X of the (lemma,
+    bundle) pairs ``a`` and ``b`` at n-gram order K, without building X, in
+    the smallest unsigned type holding its largest entry.  Entry (i, j) is
+
+        1 + min(K, lcp) + min(K, lcs) + P * (1 + [same last char])
+
+    from the bias, the n-grams of the lemmas' common prefix and suffix (of
+    lengths lcp and lcs), and the Key=Value pairs, alone and conjoined with
+    the last character: P sums each pair's count in one bundle times its
+    count in the other.  Terms are computed per distinct lemma or bundle."""
+    (la, ia), (lb, ib) = (_distinct([lemma for lemma, _ in s]) for s in (a, b))
+    (ba, ja), (bb, jb) = (_distinct([bundle for _, bundle in s]) for s in (a, b))
+    lcs = _common_prefixes([x[::-1] for x in la], [x[::-1] for x in lb], order)
+    lemma_term = 1 + _common_prefixes(la, lb, order) + lcs
+    pairs, ids = _distinct([p for bundle in (*ba, *bb) for p in bundle.split("|")])
+    owners = np.repeat(np.arange(len(ba) + len(bb)), [x.count("|") + 1 for x in (*ba, *bb)])
+    counts = np.zeros((len(ba) + len(bb), len(pairs)), dtype=np.int64)
+    np.add.at(counts, (owners, ids), 1)
+    shared = counts[: len(ba)] @ counts[len(ba) :].T
+    dtype = np.min_scalar_type(int(lemma_term.max(initial=0)) + 2 * int(shared.max(initial=0)))
+    gram = 1 + (lcs > 0).astype(dtype).take(ia, 0).take(ib, 1)  # lcs > 0: same last char
+    gram *= shared.astype(dtype).take(ja, 0).take(jb, 1)
+    gram += lemma_term.astype(dtype).take(ia, 0).take(ib, 1)
+    return gram.astype(np.min_scalar_type(int(gram.max(initial=0))), copy=False)
 
 
 def _scores(gram: np.ndarray, dual: np.ndarray) -> np.ndarray:
@@ -199,8 +183,8 @@ def train(
     instances: Sequence[InflectionInstance],
     params: Hyperparams,
     rng: np.random.Generator,
-    rows: FeatureRows | None = None,
-    script_cache: Sequence[EditScript] | None = None,
+    *,
+    scripts: Sequence[EditScript] | None = None,
     gram: np.ndarray | None = None,
 ) -> InflectionModel:
     """Averaged-perceptron training over edit-script classes, in dual form.
@@ -209,29 +193,28 @@ def train(
     to ``u`` on j's features; after T steps the summed weights ``T*w - u``
     are T times the averaged ones (Collins 2002).  The scores ``S = X @ w``
     (classes x instances) then change by j's row of ``G = X @ X.T``
-    (``gram``): ``S[gold] += G[j]``, ``S[pred] -= G[j]`` (Freund & Schapire
-    1999).  Each epoch takes the argmax over blocks of its shuffled
-    instances, applies the first mistake and resumes after it, so each step
-    sees the scores a step-by-step learner would.  The integers are exact,
-    so ties still go to the lowest class index.  Finally ``T*w - u =
-    X.T @ D``, where ``D[j]`` sums ``(T - t) * (e_gold - e_pred)`` over j's
-    mistakes: the model keeps ``D`` as ``dual`` and never builds the
-    weights.  The rng only shuffles instance order.  A single-class
-    training set yields a model that always predicts that class.
+    (``gram``, from ``_gram`` unless given): ``S[gold] += G[j]``,
+    ``S[pred] -= G[j]`` (Freund & Schapire 1999).  Each epoch takes the
+    argmax over blocks of its shuffled instances, applies the first mistake
+    and resumes after it, so each step sees the scores a step-by-step
+    learner would.  The integers are exact, so ties still go to the lowest
+    class index.  Finally ``T*w - u = X.T @ D``, where ``D[j]`` sums
+    ``(T - t) * (e_gold - e_pred)`` over j's mistakes: the model keeps ``D``
+    as ``dual`` and never builds the weights.  ``scripts`` may give the
+    instances' edit scripts.  The rng only shuffles instance order.  A
+    single-class training set yields a model that always predicts that class.
     """
     if not instances:
         raise ValueError("empty training set")
-    scripts = script_cache or [derive_edit_script(i.lemma, i.form) for i in instances]
+    scripts = scripts or [derive_edit_script(i.lemma, i.form) for i in instances]
     classes = tuple(sorted(set(scripts)))
     class_index = {s: i for i, s in enumerate(classes)}
     labels = np.array([class_index[s] for s in scripts])
-    if rows is None:
-        feats = [featurize(i.lemma, i.feature_bundle, params.ngram_order) for i in instances]
-        rows = _count_matrix(feats, {})
+    rows = [(i.lemma, i.feature_bundle) for i in instances]
     n = len(instances)
     mistakes: list[tuple[int, int, int, int]] = []  # (instance, gold, predicted, step)
     if len(classes) > 1:
-        gram = _gram(rows) if gram is None else gram
+        gram = _gram(rows, rows, params.ngram_order) if gram is None else gram
         scores = np.zeros((len(classes), n), dtype=np.int64)
         for epoch in range(params.epochs):
             order = rng.permutation(n)
@@ -258,7 +241,7 @@ def train(
 
 def predict_batch(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarray) -> list[str]:
     """Apply to each lemma, given the Gram block of ``model.rows`` against
-    the lemmas' features (training instances x lemmas), the best-scoring
+    the lemmas' instances (training instances x lemmas), the best-scoring
     edit script whose drops fit it.  If none fits, the top one is applied
     anyway, its drops clamped.
     """
@@ -274,14 +257,9 @@ def predict_batch(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarra
 
 
 def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
-    """``predict_batch`` for one lemma and feature bundle; features unseen in
-    training count zero.  The Gram row sums, per training row, the query's
-    counts of that row's features; every row holds ``bias``, so none is empty."""
-    rows = model.rows
-    feats = featurize(lemma, feature_bundle, model.params.ngram_order)
-    counts = np.bincount([rows.ids[f] for f in feats if f in rows.ids], minlength=len(rows.ids))
-    gram = np.add.reduceat(counts[rows.cols], rows.indptr[:-1])
-    return predict_batch(model, [lemma], gram[:, None])[0]
+    """``predict_batch`` for one lemma and feature bundle."""
+    gram = _gram(model.rows, [(lemma, feature_bundle)], model.params.ngram_order)
+    return predict_batch(model, [lemma], gram)[0]
 
 
 @dataclass(frozen=True)
@@ -318,10 +296,8 @@ def cross_validate(
     Instances are shuffled once and split into folds round-robin; every
     draw is evaluated on the same folds with its own derived generator, so
     draws are run grouped by n-gram order and fold without changing the
-    result.  Each order featurizes and interns the instances once, and each
-    fold trains on row slices of that one matrix and of its Gram matrix and
-    scores on the Gram block of its training against its test rows.  Ties
-    between draws break toward the earlier draw.
+    result.  Each (order, fold) computes its training and test Gram blocks
+    once for all its draws.  Ties between draws break toward the earlier draw.
     """
     if len(instances) < config.n_folds:
         raise ValueError(f"need at least {config.n_folds} instances, got {len(instances)}")
@@ -329,13 +305,7 @@ def cross_validate(
     order = np.random.default_rng([root, 1]).permutation(len(instances))
     folds = [order[f :: config.n_folds] for f in range(config.n_folds)]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
-    splits = []  # per fold: train and test rows, train instances and scripts, test instances
-    for f, test_idx in enumerate(folds):
-        train_idx = np.concatenate(folds[:f] + folds[f + 1 :])
-        kept = train_idx.tolist()
-        train_set, train_scripts = [instances[i] for i in kept], [scripts[i] for i in kept]
-        test_set = [instances[i] for i in test_idx.tolist()]
-        splits.append((train_idx, test_idx, train_set, train_scripts, test_set))
+    rows = [(i.lemma, i.feature_bundle) for i in instances]
     ranges = (config.ngram_range, config.epoch_range)
     draws = [
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
@@ -343,24 +313,18 @@ def cross_validate(
     ]
     fold_acc = [[0.0] * config.n_folds for _ in draws]
     for k in sorted({p.ngram_order for p in draws}):
-        x = _count_matrix([featurize(i.lemma, i.feature_bundle, k) for i in instances], {})
-        gram = _gram(x)
-        for f, (train_idx, test_idx, train_set, train_scripts, test_set) in enumerate(splits):
-            train_rows, train_gram = x.take(train_idx), gram[np.ix_(train_idx, train_idx)]
-            test_gram = gram[np.ix_(train_idx, test_idx)]
+        for f, test_idx in enumerate(folds):
+            kept, test = np.concatenate(folds[:f] + folds[f + 1 :]).tolist(), test_idx.tolist()
+            train_set, train_scripts = [instances[i] for i in kept], [scripts[i] for i in kept]
+            train_rows, test_set = [rows[i] for i in kept], [instances[i] for i in test]
+            train_gram = _gram(train_rows, train_rows, k)
+            test_gram = _gram(train_rows, [rows[i] for i in test], k)
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
-                model = train(
-                    train_set,
-                    draws[draw],
-                    np.random.default_rng([root, 3, draw, f]),
-                    rows=train_rows,
-                    script_cache=train_scripts,
-                    gram=train_gram,
-                )
+                rng_draw = np.random.default_rng([root, 3, draw, f])
+                model = train(train_set, draws[draw], rng_draw, scripts=train_scripts, gram=train_gram)
                 predicted = predict_batch(model, [i.lemma for i in test_set], test_gram)
                 correct = sum(p == i.form for p, i in zip(predicted, test_set))
                 fold_acc[draw][f] = correct / len(test_set)
-        del gram, train_gram, test_gram, model  # before the next order's Gram matrix
     means = [float(np.mean(acc)) for acc in fold_acc]
     best = max(range(config.n_draws), key=lambda d: (means[d], -d))
     return IAResult(tuple(fold_acc[best]), means[best], draws[best], config.n_draws)

@@ -325,6 +325,10 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
 
     matrix, languages, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, "analyze")
+    records = None
+    if config.wals_csv is not None:  # before any output, so a bad file leaves none
+        with open(config.wals_csv, encoding="utf-8-sig") as f:
+            records = load_wals(f.read())
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
@@ -377,9 +381,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         target_names += pc_names
 
     ridge_rows: list[list[object]] = []
-    if config.wals_csv is not None:
-        with open(config.wals_csv, encoding="utf-8-sig") as f:
-            records = load_wals(f.read())
+    if records is not None:
         # Targets over the same languages share one design and one ridge fit.
         row_sets: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
         tb_codes = np.array([languages.get(tb, "") for tb in matrix.treebank_ids])

@@ -44,7 +44,9 @@ def load_wals(
     ``language_code``, ``iso_code``, ``wals_code``) and one column per
     requested feature; a feature column matches when its header equals the
     feature id or starts with ``"<id> "``.  Empty cells become missing
-    values; columns outside ``feature_list`` are ignored.
+    values; columns outside ``feature_list`` are ignored.  Codes are matched
+    casefolded, so a row whose code repeats an earlier one in any letter
+    case is skipped with a warning.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -85,10 +87,10 @@ def load_wals(
         if not code:
             log.warning("load_wals: skipping row with empty language code")
             continue
-        if code in seen:
+        if code.casefold() in seen:
             log.warning("load_wals: duplicate language %s; keeping first row", code)
             continue
-        seen.add(code)
+        seen.add(code.casefold())
         values = {}
         for fid, col in feature_cols.items():
             cell = row[col].strip() if col < len(row) else ""
@@ -147,9 +149,7 @@ def encode(
     """
     if not languages:
         raise ValueError("languages must be nonempty")
-    by_code: dict[str, WalsRecord] = {}
-    for rec in records:
-        by_code.setdefault(rec.language_code.casefold(), rec)
+    by_code = {rec.language_code.casefold(): rec for rec in reversed(records)}
 
     categories: dict[str, list[str]] = {}
     for fid in feature_list:

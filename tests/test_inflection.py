@@ -13,8 +13,6 @@ from morphcomplex.inflection import (
     Hyperparams,
     IASearchConfig,
     InflectionInstance,
-    _DENSE,
-    _count_matrix,
     _gram,
     _scores,
     canonical_bundle,
@@ -182,13 +180,21 @@ class TestEditScript:
 class TestFeaturize:
     def test_edge_ngrams_present(self):
         feats = featurize("tal", "Case=Nom", ngram_order=2)
-        assert {"^t", "^ta", "l$", "al$"} <= set(feats)
+        assert {("^", "t"), ("^", "ta"), ("$", "l"), ("$", "al")} <= set(feats)
 
     def test_bundle_indicators(self):
         feats = featurize("tal", "Case=Nom|Number=Sing", ngram_order=1)
-        assert "Case=Nom" in feats
-        assert "Number=Sing" in feats
-        assert "Case=Nom&end=l" in feats
+        assert ("pair", "Case=Nom") in feats
+        assert ("pair", "Number=Sing") in feats
+        assert ("end", "Case=Nom&end=l") in feats
+
+    def test_kinds_never_coincide(self):
+        """Spelled as strings, the prefix of ``$`` and the suffix of ``^``
+        were both ``^$``, and the pair ``X=1&end=$`` was the pair ``X=1``
+        conjoined with a final ``$``."""
+        dollar = featurize("$", "X=1", ngram_order=1)
+        caret = featurize("^", "X=1&end=$", ngram_order=1)
+        assert set(dollar) & set(caret) == {("bias", "")}
 
     def test_deterministic(self):
         a = featurize("tal", "Case=Nom", 3)
@@ -197,8 +203,8 @@ class TestFeaturize:
 
     def test_short_lemma_caps_order(self):
         feats = featurize("ab", "X=1", ngram_order=4)
-        assert "^ab" in feats and "ab$" in feats
-        assert not any(f.startswith("^abc") for f in feats)
+        assert ("^", "ab") in feats and ("$", "ab") in feats
+        assert len(feats) == 1 + 2 * 2 + 2
 
 
 def toy_model(n_lemmas=30, seed=0, **params):
@@ -235,7 +241,7 @@ class TestTrainPredict:
     def test_identical_inputs_identical_weights(self):
         _, m1 = toy_model(seed=4)
         _, m2 = toy_model(seed=4)
-        assert m1.rows.ids == m2.rows.ids
+        assert m1.rows == m2.rows
         assert np.array_equal(m1.dual, m2.dual)
 
     def test_unfitting_scripts_skipped_in_ranking(self):
@@ -357,8 +363,9 @@ def irregular_toy_instances(n_lemmas: int, seed: int):
 
 class TestMatchesReferenceLearner:
     """At step 1 the weights the integer learner's dual form stands for,
-    ``X.T @ dual``, are the reference's averaged weights times the step
-    count T, exactly.  Both sides are integers below 2**53 divided by T, so
+    ``X.T @ dual`` with X the ``featurize`` counts of the training
+    instances, are the reference's averaged weights times the step count T,
+    exactly.  Both sides are integers below 2**53 divided by T, so
     the comparison ``X.T @ dual / T == averaged`` is exact in floats."""
 
     @pytest.mark.parametrize(
@@ -394,11 +401,12 @@ def assert_matches_reference(instances, params, seed):
         instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
     )
     assert model.scripts == classes
-    weights = dense(model.rows).T @ model.dual
+    [x], ids = dense(params.ngram_order, [(i.lemma, i.feature_bundle) for i in instances])
+    weights = x.T @ model.dual
     expected = np.zeros(weights.shape)
     for f, row in averaged.items():
         for c, value in row.items():
-            expected[model.rows.ids[f], c] = value
+            expected[ids[f], c] = value
     if steps:
         assert np.array_equal(weights / steps, expected)
     else:
@@ -425,114 +433,144 @@ def test_cli_import_does_not_load_scipy_sparse():
     assert out.stdout.strip() == "False"
 
 
-def dense(x):
-    """The int64 count matrix of ``FeatureRows`` ``x``."""
-    n = len(x.indptr) - 1
-    out = np.zeros((n, len(x.ids)), dtype=np.int64)
-    np.add.at(out, (np.repeat(np.arange(n), np.diff(x.indptr)), x.cols), 1)
-    return out
+def dense(ngram_order, *row_sets):
+    """The int64 ``featurize`` counts of each list of (lemma, bundle) rows,
+    one column per feature of any list, and the column of each feature."""
+    feats = [[featurize(lemma, bundle, ngram_order) for lemma, bundle in rows] for rows in row_sets]
+    ids = {}
+    matrices = []
+    for rows in feats:
+        for f in (f for row in rows for f in row):
+            ids.setdefault(f, len(ids))
+    for rows in feats:
+        out = np.zeros((len(rows), len(ids)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for f in row:
+                out[r, ids[f]] += 1
+        matrices.append(out)
+    return matrices, ids
 
 
-def random_rows(seed, n, n_features=60):
-    """Rows of 1-12 features drawn with replacement, so some count 2 or more."""
+def reference_gram(a, b, ngram_order):
+    [xa, xb], _ = dense(ngram_order, a, b)
+    return xa @ xb.T
+
+
+def pair_rows(seed, n, n_lemmas=40, n_bundles=15):
+    """``n`` (lemma, bundle) rows over ``n_lemmas`` lemmas and ``n_bundles``
+    bundles of 1-6 pairs drawn with replacement, so some pairs count 2 or more."""
     rng = np.random.default_rng(seed)
-    return [[f"f{j}" for j in rng.integers(0, n_features, rng.integers(1, 13))] for _ in range(n)]
+    lemmas = distinct_words(rng, n_lemmas, 5)
+    bundles = [
+        "|".join(f"K{k}=v" for k in rng.integers(0, 8, rng.integers(1, 7))) for _ in range(n_bundles)
+    ]
+    return [(lemmas[rng.integers(n_lemmas)], bundles[rng.integers(n_bundles)]) for _ in range(n)]
+
+
+# The diagonal entry of lemma "ab" with this bundle is 1 + 2 * 2 + 2 * (10**2 + 5**2) = 255
+# at K >= 2, and that of lemma "abc" 257 at K >= 3.
+TOP_BUNDLE = "|".join(["X=1"] * 10 + ["Y=2"] * 5)
+
+LEMMAS = st.text(alphabet="ab^$&=|\x00", min_size=1, max_size=6)
+PAIRS = st.sampled_from(["X=1", "X=2", "Y=1", "^", "$", "=", "&end=a", "a"])
+BUNDLES = st.lists(PAIRS, min_size=1, max_size=4)
+PAIR_ROWS = st.lists(st.tuples(LEMMAS, BUNDLES.map("|".join)), min_size=1, max_size=8)
 
 
 class TestExactProducts:
-    """The numpy products equal dense int64 references exactly."""
+    """``_gram`` and ``_scores`` equal dense int64 products of ``featurize`` counts exactly."""
 
-    @staticmethod
-    def threshold_rows(n=150):
-        """Random rows plus ``at`` on exactly ``_DENSE`` rows, ``above`` on
-        one row more, and ``twice`` counted 2 on 100 rows."""
-        rows = random_rows(0, n)
-        for r in range(_DENSE):
-            rows[r].append("at")
-        for r in range(40, 41 + _DENSE):
-            rows[r].append("above")
-        for r in range(100):
-            rows[r] += ["twice", "twice"]
-        return _count_matrix(rows, {})
+    @given(a=PAIR_ROWS, b=PAIR_ROWS, ngram_order=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_gram_is_the_featurize_product(self, a, b, ngram_order):
+        """Lemmas of one character and of the feature-string characters,
+        NUL code points, and pairs repeated within a bundle."""
+        gram = _gram(a, b, ngram_order)
+        reference = reference_gram(a, b, ngram_order)
+        assert np.array_equal(gram, reference)
+        assert gram.dtype == np.min_scalar_type(int(reference.max()))
+        assert np.array_equal(gram, _gram(b, a, ngram_order).T)
 
     @pytest.mark.parametrize(
-        "x, split",
+        "rows, ngram_order",
         [
-            (threshold_rows(), "both"),
-            (_count_matrix(random_rows(1, 200, n_features=5), {}), "dense"),
-            (_count_matrix(random_rows(2, 40, n_features=400), {}), "sparse"),
-            (_count_matrix([["a", "b", "a"]], {}), "sparse"),
-            (_count_matrix([["bias"] + ["x"] * 16, ["bias", "x"]], {}), "sparse"),
+            ([("ab", TOP_BUNDLE), ("ab", "X=1"), ("ba", "Y=2|X=1")], 4),
+            (pair_rows(0, 300, n_lemmas=6, n_bundles=3), 3),
+            (pair_rows(1, 60, n_lemmas=200, n_bundles=200), 4),
+            ([("a", "X=1|X=1")], 1),
+            ([("abc", TOP_BUNDLE), ("xbc", TOP_BUNDLE)], 3),
         ],
         ids=["threshold", "dense", "sparse", "one-instance", "uint16"],
     )
-    def test_gram(self, x, split):
-        on = np.bincount(x.cols) > _DENSE
-        assert split == ("both" if on.any() and not on.all() else "dense" if on.all() else "sparse")
-        reference = dense(x) @ dense(x).T
-        gram = _gram(x)
-        assert gram.dtype == np.min_scalar_type(int(reference.diagonal().max()))
+    def test_gram(self, rows, ngram_order):
+        """``dense``: 300 rows over 6 lemmas and 3 bundles; ``sparse``: rows
+        with mostly distinct lemmas and bundles; ``threshold``: a largest
+        entry of 255, the most uint8 holds."""
+        reference = reference_gram(rows, rows, ngram_order)
+        gram = _gram(rows, rows, ngram_order)
+        assert gram.dtype == np.min_scalar_type(int(reference.max()))
         assert np.array_equal(gram, reference)
-
-    def test_threshold_rows_straddle_the_dense_split(self):
-        x = self.threshold_rows()
-        entries = np.bincount(x.cols)
-        assert entries[x.ids["at"]] == _DENSE
-        assert entries[x.ids["above"]] == _DENSE + 1
-        assert entries[x.ids["twice"]] == 200
+        half = len(rows) // 2
+        block = _gram(rows[:half], rows[half:], ngram_order)
+        assert np.array_equal(block, reference[:half, half:])
 
     def test_gram_dtype_widens(self):
-        assert _gram(_count_matrix([["x"] * 15], {})).dtype == np.uint8
-        assert _gram(_count_matrix([["x"] * 16], {})).dtype == np.uint16
+        assert _gram([("ab", TOP_BUNDLE)], [("ab", TOP_BUNDLE)], 2).max() == 255
+        assert _gram([("ab", TOP_BUNDLE)], [("ab", TOP_BUNDLE)], 2).dtype == np.uint8
+        assert _gram([("abc", TOP_BUNDLE)], [("abc", TOP_BUNDLE)], 3).max() == 257
+        assert _gram([("abc", TOP_BUNDLE)], [("abc", TOP_BUNDLE)], 3).dtype == np.uint16
+        # 252 at most, though the largest lemma term (9) plus the largest bundle term (250) is not
+        block = _gram([("ab", TOP_BUNDLE), ("wxyz", "Z=1")], [("cb", TOP_BUNDLE), ("wxyz", "Z=1")], 4)
+        assert block.max() == 252 and block.dtype == np.uint8
 
     @pytest.mark.parametrize("n_queries", [1, 60])
     def test_scores(self, n_queries):
-        """Rows with repeated features, coefficients of +-10**12 and a class
+        """Rows with repeated pairs, coefficients of +-10**12 and a class
         (3) whose coefficients are all zero."""
-        x = self.threshold_rows()
-        train_idx, test_idx = np.arange(150 - n_queries), np.arange(150 - n_queries, 150)
+        rows = pair_rows(2, 150)
+        train_rows, test_rows = rows[: 150 - n_queries], rows[150 - n_queries :]
         rng = np.random.default_rng(3)
-        d = np.zeros((len(train_idx), 7), dtype=np.int64)
-        cells = (rng.integers(0, len(train_idx), 900), rng.choice([0, 1, 2, 4, 5, 6], 900))
+        d = np.zeros((len(train_rows), 7), dtype=np.int64)
+        cells = (rng.integers(0, len(train_rows), 900), rng.choice([0, 1, 2, 4, 5, 6], 900))
         np.add.at(d, cells, rng.integers(-(10**12), 10**12, 900))
         assert not d[:, 3].any() and np.abs(d).max() > 10**12
-        got = _scores(_gram(x)[np.ix_(train_idx, test_idx)], d)
+        got = _scores(_gram(train_rows, test_rows, 3), d)
         assert got.dtype == np.int64
-        assert np.array_equal(got, dense(x)[test_idx] @ dense(x)[train_idx].T @ d)
+        [x_train, x_test], _ = dense(3, train_rows, test_rows)
+        assert np.array_equal(got, x_test @ x_train.T @ d)
 
     def test_features_unseen_in_training_weigh_zero(self):
-        x = _count_matrix(random_rows(5, 60, n_features=200), {})
-        train_idx, test_idx = np.arange(0, 60, 2), np.arange(1, 60, 2)
-        train_rows = x.take(train_idx)
-        assert np.array_equal(dense(train_rows), dense(x)[train_idx])
-        rows = np.arange(30).repeat(3)
+        rows = pair_rows(5, 60, n_lemmas=30, n_bundles=30)
+        train_rows, test_rows = rows[::2], rows[1::2]
+        rows_ = np.arange(30).repeat(3)
         d = np.zeros((30, 4), dtype=np.int64)
-        np.add.at(d, (rows, rows % 4), np.arange(90) * 10**9)
-        unseen = sorted(set(x.take(test_idx).cols.tolist()) - set(train_rows.cols.tolist()))
-        seen = dense(x)[test_idx]
-        assert unseen and seen[:, unseen].any()
-        seen[:, unseen] = 0
-        expected = seen @ dense(train_rows).T @ d
-        assert np.array_equal(_scores(_gram(x)[np.ix_(train_idx, test_idx)], d), expected)
+        np.add.at(d, (rows_, rows_ % 4), np.arange(90) * 10**9)
+        [x_train, x_test], _ = dense(3, train_rows, test_rows)
+        unseen = ~x_train.any(axis=0)
+        assert x_test[:, unseen].any()
+        x_test[:, unseen] = 0
+        expected = x_test @ x_train.T @ d
+        assert np.array_equal(_scores(_gram(train_rows, test_rows, 3), d), expected)
 
-    def test_shared_rows_match_own_interning(self):
-        """A model trained on slices of rows interned over every instance
-        scores like one that interned only its training set."""
+    def test_given_gram_and_scripts_match_own(self):
+        """A model given its Gram matrix and edit scripts, as ``cross_validate``
+        gives them, is the one ``train`` builds alone, and its batched
+        predictions on a test block are the one-row ones."""
         instances = irregular_toy_instances(40, seed=5)
         params = Hyperparams(3, 6)
-        x = _count_matrix([featurize(i.lemma, i.feature_bundle, 3) for i in instances], {})
-        train_idx = np.arange(0, 120, 3)
-        test_idx = np.setdiff1d(np.arange(120), train_idx)
-        train_set = [instances[i] for i in train_idx]
+        train_set, test_set = instances[::3], [i for k, i in enumerate(instances) if k % 3]
+        rows = [(i.lemma, i.feature_bundle) for i in train_set]
         own = train(train_set, params, np.random.default_rng(1))
-        shared = train(train_set, params, np.random.default_rng(1), rows=x.take(train_idx))
-        assert own.scripts == shared.scripts
-        assert np.array_equal(own.dual, shared.dual)
-        assert len(shared.rows.ids) > len(own.rows.ids)
-        lemmas = [instances[i].lemma for i in test_idx]
-        gram = _gram(x)[np.ix_(train_idx, test_idx)]
-        assert predict_batch(shared, lemmas, gram) == [
-            predict(own, instances[i].lemma, instances[i].feature_bundle) for i in test_idx
+        given_ = train(
+            train_set, params, np.random.default_rng(1),
+            scripts=[derive_edit_script(i.lemma, i.form) for i in train_set],
+            gram=_gram(rows, rows, 3),
+        )
+        assert own.scripts == given_.scripts and own.rows == given_.rows == rows
+        assert np.array_equal(own.dual, given_.dual)
+        test_gram = _gram(rows, [(i.lemma, i.feature_bundle) for i in test_set], 3)
+        assert predict_batch(given_, [i.lemma for i in test_set], test_gram) == [
+            predict(own, i.lemma, i.feature_bundle) for i in test_set
         ]
 
 
@@ -547,20 +585,19 @@ class TestPredictBatch:
     ]
 
     @staticmethod
-    def check(model, queries):
+    def check(model, instances, queries):
+        """Scores ``queries`` with a Gram block from the training instances' features."""
+        rows = [(i.lemma, i.feature_bundle) for i in instances]
+        [x_train, x_queries], _ = dense(model.params.ngram_order, rows, queries)
+        gram = x_train @ x_queries.T
         lemmas = [lemma for lemma, _ in queries]
-        known = model.rows.ids
-        feats = [
-            [f for f in featurize(lemma, b, model.params.ngram_order) if f in known]
-            for lemma, b in queries
-        ]
-        gram = dense(model.rows) @ dense(_count_matrix(feats, known)).T
         assert predict_batch(model, lemmas, gram) == [predict(model, *q) for q in queries]
 
     def test_held_out_queries(self):
         instances = irregular_toy_instances(80, seed=3)
         model = train(instances, Hyperparams(4, 6), np.random.default_rng(2))
-        self.check(model, self.QUERIES + [(i.lemma, i.feature_bundle) for i in instances[::7]])
+        queries = self.QUERIES + [(i.lemma, i.feature_bundle) for i in instances[::7]]
+        self.check(model, instances, queries)
 
     def test_clamped_when_no_script_fits(self):
         # Upper-case forms share no substring with their lemmas, so every
@@ -572,7 +609,7 @@ class TestPredictBatch:
         model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
         assert not any(fits(s, "q") for s in model.scripts)
         assert predict(model, "q", "Tense=Past") in {apply_clamped(s, "q") for s in model.scripts}
-        self.check(model, self.QUERIES)
+        self.check(model, instances, self.QUERIES)
 
 
 class TestCrossValidate:

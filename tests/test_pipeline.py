@@ -653,6 +653,28 @@ def test_unknown_script_exclude_id_rejected(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("wals", ["", "."], ids=["blank", "directory"])
+def test_wals_path_must_be_a_file(tmp_path, caplog, wals):
+    """Checked before the first treebank is measured, not by ``analyze``
+    after the whole measure stage."""
+    config = write_release(tmp_path)
+    text = (tmp_path / "run.cfg").read_text(encoding="utf-8").replace("wals.csv", wals)
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    assert cli.main(["run-all", "--config", config]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert message.startswith("config key wals: not a file: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_wals_csv_fails_analyze_before_any_output(release, tmp_path):
+    root, _, _, _ = release
+    wals = tmp_path / "no_22A.csv"
+    wals.write_text((root / "wals.csv").read_text(encoding="utf-8").replace("22A", "22X"))
+    code, out = analyze_cut_measures(release, tmp_path, lambda text: text, wals=wals)
+    assert code == 1
+    assert sorted(os.listdir(out)) == ["measures.tsv", "treebanks.tsv"]
+
+
 def test_duplicate_treebank_id_rejected(tmp_path, caplog):
     config = write_release(tmp_path)
     manifest = tmp_path / "manifest.tsv"

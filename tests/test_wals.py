@@ -61,6 +61,15 @@ class TestLoadWals:
         assert len(records) == 1
         assert records[0].values["22A"] == "first"
 
+    def test_duplicate_language_found_casefolded(self, caplog):
+        """A code repeated in another letter case is a duplicate, so its
+        categories add no column that no row can set."""
+        records = load_wals("iso_code,22A\nENG,1 A\neng,2 B\n", ["22A"])
+        assert [(r.language_code, r.values) for r in records] == [("ENG", {"22A": "1 A"})]
+        assert "duplicate language eng" in caplog.text
+        dm = encode(records, ["eng"], feature_list=["22A"])
+        assert dm.column_names == ("22A=1 A", f"22A={MISSING_CATEGORY}")
+
     def test_empty_csv_rejected(self):
         with pytest.raises(ValueError):
             load_wals("", ["22A"])
