@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in ("seed", "jobs", "target_tokens", "repetitions")}
-    return apply_overrides(load_config(args.config), out_dir=args.out, **overrides)
+    overrides = ("out", "seed", "jobs", "target_tokens", "repetitions")
+    return apply_overrides(load_config(args.config), **{k: getattr(args, k, None) for k in overrides})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,12 +71,12 @@ def main(argv: list[str] | None = None) -> int:
                 "measure stage: %d ok, %d failed; outputs in %s",
                 len(outcomes) - n_failed,
                 n_failed,
-                config.out_dir,
+                config.out,
             )
         if args.command in ("analyze", "run-all"):
-            run_analyze(config.out_dir, config)
+            run_analyze(config.out, config)
         if args.command in ("plot", "run-all"):
-            written = run_plot(config.out_dir)
+            written = run_plot(config.out)
             log.info("plot stage: wrote %s", ", ".join(written))
     except (OSError, ValueError) as exc:
         log.error("%s", exc)

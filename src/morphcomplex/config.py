@@ -1,35 +1,49 @@
-"""Run configuration: a flat key = value text file plus CLI overrides."""
+"""Run configuration: a flat key = value text file plus CLI overrides.
+
+Each config key is the ``RunConfig`` field of the same name, and each
+command-line override replaces that field.  Every range and choice check
+lives in ``RunConfig.__post_init__``, so a value from the file and one from
+an override pass the same checks.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
-from .conllu import ExclusionConfig
-from .inflection import IASearchConfig
 from .measures import ALL_MEASURES
-from .sampling import SampleConfig
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     manifest: str
-    out_dir: str
-    wals_csv: str | None = None
-    sample: SampleConfig = field(default_factory=SampleConfig)
-    exclusions: ExclusionConfig = field(default_factory=ExclusionConfig)
-    ia_search: IASearchConfig = field(default_factory=IASearchConfig)
-    measures: tuple[str, ...] = ALL_MEASURES
+    out: str
+    wals: str | None = None
+    target_tokens: int = 20000
+    repetitions: int = 100
+    seed: int = 0
+    min_feature_keys: int = 3
+    script_exclude: frozenset[str] = frozenset()
     lowercase: bool = False
-    is_count_values: bool = False
-    wals_rows: str = "per-treebank"  # or "per-language"
+    measures: tuple[str, ...] = ALL_MEASURES
+    is_unit: str = "keys"  # or "pairs"
+    ia_draws: int = 20
     jobs: int = 1
+    wals_rows: str = "per-treebank"  # or "per-language"
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for key, first, second in (
+            ("is_unit", "keys", "pairs"), ("wals_rows", "per-treebank", "per-language"),
+        ):
+            value = getattr(self, key)
+            if value not in (first, second):
+                raise ValueError(f"config key {key}: expected {first!r} or {second!r}, got {value!r}")
+        for key, least in (
+            ("target_tokens", 1), ("repetitions", 1), ("seed", 0), ("ia_draws", 1), ("jobs", 1),
+        ):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}")
         if not self.measures:
             raise ValueError("config key measures: expected at least one measure name")
         unknown = [m for m in self.measures if m not in ALL_MEASURES]
@@ -42,36 +56,31 @@ class RunConfig:
     def validate_paths(self):
         """Require the manifest and any WALS CSV to be files, so that a blank
         or directory path fails before the measure stage, not after it."""
-        for key, path in (("manifest", self.manifest), ("wals", self.wals_csv)):
+        for key, path in (("manifest", self.manifest), ("wals", self.wals)):
             if path is not None and not os.path.isfile(path):
                 raise FileNotFoundError(f"config key {key}: not a file: {path}")
 
 
-_KNOWN_KEYS = {
-    "manifest", "wals", "out", "target_tokens", "repetitions", "seed",
-    "min_feature_keys", "script_exclude", "lowercase", "measures",
-    "is_unit", "ia_draws", "jobs", "wals_rows",
-}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    try:
-        return _BOOL_VALUES[value.lower()]
-    except KeyError:
-        raise ValueError(f"config key {key}: expected a boolean, got {value!r}") from None
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"config key {key}: expected an integer, got {value!r}") from None
-
-
-def _parse_choice(key: str, value: str, first: str, second: str) -> str:
-    if value not in (first, second):
-        raise ValueError(f"config key {key}: expected {first!r} or {second!r}, got {value!r}")
-    return value
+def _value(key: str, text: str, base_dir: str) -> object:
+    """The field value that ``text`` gives config key ``key``, of its default's type."""
+    default = _DEFAULTS[key]
+    if key in ("manifest", "out", "wals"):
+        return text if os.path.isabs(text) else os.path.join(base_dir, text)
+    if isinstance(default, bool):  # before int: a bool is an int
+        if text.lower() not in _BOOL_VALUES:
+            raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
+        return _BOOL_VALUES[text.lower()]
+    if isinstance(default, int):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
+    if isinstance(default, (tuple, frozenset)):
+        return type(default)(s.strip() for s in text.split(",") if s.strip())
+    return text
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -90,49 +99,16 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if not sep:
             raise ValueError(f"config line {line_no}: expected 'key = value'")
         key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"config line {line_no}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = value.strip()
 
-    if "manifest" not in raw:
-        raise ValueError("config is missing required key 'manifest'")
-    if "out" not in raw:
-        raise ValueError("config is missing required key 'out'")
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    def ints(*keys: str) -> dict[str, int]:
-        """The integer values the file sets among ``keys``; the rest keep their defaults."""
-        return {key: _parse_int(key, raw[key]) for key in keys if key in raw}
-
-    settings: dict[str, object] = ints("jobs")
-    if "wals" in raw:
-        settings["wals_csv"] = resolve(raw["wals"])
-    if "measures" in raw:
-        settings["measures"] = tuple(s.strip() for s in raw["measures"].split(",") if s.strip())
-    if "lowercase" in raw:
-        settings["lowercase"] = _parse_bool("lowercase", raw["lowercase"])
-    if "is_unit" in raw:
-        is_unit = _parse_choice("is_unit", raw["is_unit"], "keys", "pairs")
-        settings["is_count_values"] = is_unit == "pairs"
-    if "wals_rows" in raw:
-        wals_rows = _parse_choice("wals_rows", raw["wals_rows"], "per-treebank", "per-language")
-        settings["wals_rows"] = wals_rows
-    script_ids = frozenset(
-        s.strip() for s in raw.get("script_exclude", "").split(",") if s.strip()
-    )
-    return RunConfig(
-        manifest=resolve(raw["manifest"]),
-        out_dir=resolve(raw["out"]),
-        sample=SampleConfig(**ints("target_tokens", "repetitions", "seed")),
-        exclusions=ExclusionConfig(script_excluded_ids=script_ids, **ints("min_feature_keys")),
-        ia_search=IASearchConfig(*ints("ia_draws").values()),  # n_draws, its only field
-        **settings,
-    )
+    for key, default in _DEFAULTS.items():
+        if default is MISSING and key not in raw:
+            raise ValueError(f"config is missing required key {key!r}")
+    return RunConfig(**{key: _value(key, value, base_dir) for key, value in raw.items()})
 
 
 def load_config(path: str) -> RunConfig:
@@ -141,20 +117,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def apply_overrides(
-    config: RunConfig,
-    seed: int | None = None,
-    out_dir: str | None = None,
-    jobs: int | None = None,
-    target_tokens: int | None = None,
-    repetitions: int | None = None,
-) -> RunConfig:
-    """``config`` with every override that is not None applied."""
-
-    def given(**values):
-        return {k: v for k, v in values.items() if v is not None}
-
-    sample = replace(
-        config.sample, **given(seed=seed, target_tokens=target_tokens, repetitions=repetitions)
-    )
-    return replace(config, sample=sample, **given(out_dir=out_dir, jobs=jobs))
+def apply_overrides(config: RunConfig, **overrides: object) -> RunConfig:
+    """``config`` with every override that is not None replacing the field of its name."""
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})

@@ -12,7 +12,7 @@ malformed line before the bad bytes is reported ahead of them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -231,28 +231,23 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
 
 
 @dataclass(frozen=True)
-class ExclusionConfig:
-    """Rules deciding which treebanks are excluded from which measures."""
-
-    min_feature_keys: int = 3
-    script_excluded_ids: frozenset[str] = field(default_factory=frozenset)
-
-
-@dataclass(frozen=True)
 class Exclusion:
     reason: str
     measures: tuple[str, ...]
 
 
-def apply_exclusions(treebank: Treebank, rules: ExclusionConfig) -> tuple[Exclusion, ...]:
-    """The exclusion records of one treebank, empty when no rule applies.
+def apply_exclusions(
+    treebank: Treebank, min_feature_keys: int, script_exclude: frozenset[str]
+) -> tuple[Exclusion, ...]:
+    """The exclusion records of one treebank, empty when no rule applies:
+    fewer than ``min_feature_keys`` feature keys, or an id in ``script_exclude``.
 
     Each record names a machine-readable reason and the affected measures;
     an excluded treebank remains eligible for all other measures.
     """
     reasons: list[Exclusion] = []
-    if treebank.n_feature_keys < rules.min_feature_keys:
+    if treebank.n_feature_keys < min_feature_keys:
         reasons.append(Exclusion(REASON_NO_MORPH, FEATURE_MEASURES))
-    if treebank.id in rules.script_excluded_ids:
+    if treebank.id in script_exclude:
         reasons.append(Exclusion(REASON_NON_ALPHABETIC, SCRIPT_MEASURES))
     return tuple(reasons)

@@ -271,10 +271,6 @@ class IASearchConfig:
     ngram_range: ClassVar[tuple[int, int]] = (1, 4)
     epoch_range: ClassVar[tuple[int, int]] = (5, 30)
 
-    def __post_init__(self):
-        if self.n_draws < 1:
-            raise ValueError("ia_draws must be >= 1")
-
 
 @dataclass(frozen=True)
 class IAResult:

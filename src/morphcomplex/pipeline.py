@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .config import RunConfig
 from .conllu import Exclusion, apply_exclusions, parse_conllu_file, read_manifest
-from .inflection import IAResult, cross_validate, extract_instances
+from .inflection import IAResult, IASearchConfig, cross_validate, extract_instances
 from .measures import ALL_MEASURES, COMPRESSOR_SETTING, sample_measure_functions
 from .sampling import MeasureStats, bootstrap_sample, inflection_rng, run_repetitions
 
@@ -159,20 +159,24 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
         outcome.n_sentences = len(treebank.sentences)
         outcome.n_tokens = treebank.n_tokens
         outcome.n_feature_keys = treebank.n_feature_keys
-        outcome.exclusions = apply_exclusions(treebank, config.exclusions)
+        outcome.exclusions = apply_exclusions(
+            treebank, config.min_feature_keys, config.script_exclude
+        )
         excluded = {m for e in outcome.exclusions for m in e.measures}
         sample_names = [m for m in config.measures if m != "neg_ia" and m not in excluded]
         if sample_names:
-            fns = sample_measure_functions(sample_names, is_count_values=config.is_count_values)
-            outcome.stats.update(run_repetitions(treebank, config.sample, fns))
+            fns = sample_measure_functions(sample_names, is_count_values=config.is_unit == "pairs")
+            outcome.stats.update(run_repetitions(
+                treebank, fns, config.target_tokens, config.repetitions, config.seed
+            ))
         if "neg_ia" in config.measures and "neg_ia" not in excluded:
-            rng = inflection_rng(config.sample.seed, tb_id)
-            sample = bootstrap_sample(treebank, config.sample.target_tokens, rng)
+            rng = inflection_rng(config.seed, tb_id)
+            sample = bootstrap_sample(treebank, config.target_tokens, rng)
             instances = extract_instances(sample)
-            if len(instances) < config.ia_search.n_folds:
+            if len(instances) < IASearchConfig.n_folds:
                 outcome.stats["neg_ia"] = MeasureStats(None, None, 1)
             else:
-                result = cross_validate(instances, config.ia_search, rng)
+                result = cross_validate(instances, IASearchConfig(config.ia_draws), rng)
                 outcome.ia = result
                 outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1)
     except Exception as exc:  # isolate per-treebank failures
@@ -194,11 +198,11 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     """
     config.validate_paths()
     entries = read_manifest(config.manifest)
-    unknown = sorted(config.exclusions.script_excluded_ids - {tb_id for tb_id, _, _ in entries})
+    unknown = sorted(config.script_exclude - {tb_id for tb_id, _, _ in entries})
     if unknown:
         raise ValueError(f"config key script_exclude: not a manifest treebank id: {unknown}")
-    os.makedirs(config.out_dir, exist_ok=True)
-    _remove_outputs(config.out_dir, "measure")
+    os.makedirs(config.out, exist_ok=True)
+    _remove_outputs(config.out, "measure")
     if config.jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -218,9 +222,9 @@ def _exclusions_cell(exclusions: tuple[Exclusion, ...]) -> str:
 def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
     meta = {
         "generator": "morphcomplex",
-        "seed": config.sample.seed,
-        "target_tokens": config.sample.target_tokens,
-        "repetitions": config.sample.repetitions,
+        "seed": config.seed,
+        "target_tokens": config.target_tokens,
+        "repetitions": config.repetitions,
         "compressor": COMPRESSOR_SETTING,
     }
     rows: list[list[object]] = []
@@ -233,7 +237,7 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
             rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
                          stats.n_repetitions, stats.available])
     header = ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"]
-    _write_tsv(os.path.join(config.out_dir, MEASURES_TSV), meta, header, rows)
+    _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, header, rows)
 
     tb_rows = [
         [o.treebank_id, o.language_code, o.status, o.n_sentences, o.n_tokens, o.n_feature_keys,
@@ -241,8 +245,8 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
         for o in outcomes
     ]
     _write_tsv(
-        os.path.join(config.out_dir, TREEBANKS_TSV),
-        {"generator": "morphcomplex", "seed": config.sample.seed},
+        os.path.join(config.out, TREEBANKS_TSV),
+        {"generator": "morphcomplex", "seed": config.seed},
         [
             "treebank_id", "language_code", "status", "n_sentences",
             "n_tokens", "n_feature_keys", "exclusions", "error",
@@ -262,30 +266,30 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
         if o.ia is not None
     }
     _write_json(
-        os.path.join(config.out_dir, IA_PARAMS_JSON),
-        {"seed": config.sample.seed, "treebanks": ia_params},
+        os.path.join(config.out, IA_PARAMS_JSON),
+        {"seed": config.seed, "treebanks": ia_params},
     )
 
     run_meta = {
-        "seed": config.sample.seed,
-        "target_tokens": config.sample.target_tokens,
-        "repetitions": config.sample.repetitions,
+        "seed": config.seed,
+        "target_tokens": config.target_tokens,
+        "repetitions": config.repetitions,
         "measures": list(config.measures),
         "compressor": COMPRESSOR_SETTING,
         "alpha_grid": list(DEFAULT_ALPHA_GRID),
-        "min_feature_keys": config.exclusions.min_feature_keys,
-        "script_excluded_ids": sorted(config.exclusions.script_excluded_ids),
+        "min_feature_keys": config.min_feature_keys,
+        "script_excluded_ids": sorted(config.script_exclude),
         "lowercase": config.lowercase,
-        "is_unit": "pairs" if config.is_count_values else "keys",
+        "is_unit": config.is_unit,
         "ia_search": {
-            "n_folds": config.ia_search.n_folds,
-            "n_draws": config.ia_search.n_draws,
-            "ngram_range": list(config.ia_search.ngram_range),
-            "epoch_range": list(config.ia_search.epoch_range),
+            "n_folds": IASearchConfig.n_folds,
+            "n_draws": config.ia_draws,
+            "ngram_range": list(IASearchConfig.ngram_range),
+            "epoch_range": list(IASearchConfig.epoch_range),
         },
         "wals_rows": config.wals_rows,
     }
-    _write_json(os.path.join(config.out_dir, RUN_META_JSON), run_meta)
+    _write_json(os.path.join(config.out, RUN_META_JSON), run_meta)
 
 
 def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], int]:
@@ -326,8 +330,8 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     matrix, languages, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, "analyze")
     records = None
-    if config.wals_csv is not None:  # before any output, so a bad file leaves none
-        with open(config.wals_csv, encoding="utf-8-sig") as f:
+    if config.wals is not None:  # before any output, so a bad file leaves none
+        with open(config.wals, encoding="utf-8-sig") as f:
             records = load_wals(f.read())
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}

@@ -30,21 +30,6 @@ class MeasureError(RuntimeError):
     """A measure failed; the message carries the repetition index."""
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    target_tokens: int = 20000
-    repetitions: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.target_tokens < 1:
-            raise ValueError("target_tokens must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Sentences drawn with replacement; the last one may be truncated.
@@ -127,10 +112,12 @@ def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Gene
 
 def run_repetitions(
     treebank: Treebank,
-    config: SampleConfig,
     measure_fns: Mapping[str, MeasureFn],
+    target_tokens: int,
+    repetitions: int,
+    seed: int,
 ) -> dict[str, MeasureStats]:
-    """Evaluate sample-level measures over bootstrap repetitions.
+    """Evaluate sample-level measures over ``repetitions`` bootstrap samples.
 
     Each repetition derives its own generators, so permuting or
     parallelising repetitions cannot change the summary.  A measure is
@@ -139,13 +126,11 @@ def run_repetitions(
     if not measure_fns:
         raise ValueError("measure_fns must be nonempty")
     values: dict[str, list[float | None]] = {name: [] for name in measure_fns}
-    for rep in range(config.repetitions):
-        sample = bootstrap_sample(
-            treebank, config.target_tokens, sample_rng(config.seed, treebank.id, rep)
-        )
+    for rep in range(repetitions):
+        sample = bootstrap_sample(treebank, target_tokens, sample_rng(seed, treebank.id, rep))
         for name, fn in measure_fns.items():
             try:
-                value = fn(sample, measure_rng(config.seed, treebank.id, rep, name))
+                value = fn(sample, measure_rng(seed, treebank.id, rep, name))
             except Exception as exc:
                 raise MeasureError(
                     f"measure {name!r} failed on repetition {rep} of {treebank.id}: "
@@ -155,10 +140,10 @@ def run_repetitions(
     summary: dict[str, MeasureStats] = {}
     for name, vals in values.items():
         if None in vals:
-            summary[name] = MeasureStats(None, None, config.repetitions)
+            summary[name] = MeasureStats(None, None, repetitions)
             continue
         mean = float(np.mean(vals))
         if math.isnan(mean):
             raise MeasureError(f"measure {name!r} produced NaN on {treebank.id}")
-        summary[name] = MeasureStats(mean, float(np.std(vals)), config.repetitions)  # population sd
+        summary[name] = MeasureStats(mean, float(np.std(vals)), repetitions)  # population sd
     return summary

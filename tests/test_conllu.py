@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from morphcomplex.conllu import (
     ConlluParseError,
-    ExclusionConfig,
     apply_exclusions,
     parse_conllu,
     parse_conllu_file,
@@ -330,30 +329,28 @@ def featureless_treebank(tb_id, n_keys):
 class TestExclusions:
     def test_threshold_rule(self):
         tb = featureless_treebank("ja_x", 2)
-        [reason] = apply_exclusions(tb, ExclusionConfig(min_feature_keys=3))
+        [reason] = apply_exclusions(tb, 3, frozenset())
         assert reason.reason == "no-morph-features"
         assert set(reason.measures) == {"is", "mfh", "neg_ia"}
 
     def test_rich_treebank_kept(self):
         tb = featureless_treebank("fi_x", 29)
-        assert apply_exclusions(tb, ExclusionConfig()) == ()
+        assert apply_exclusions(tb, 3, frozenset()) == ()
 
     def test_deny_list_hits_ws_only(self):
         tb = featureless_treebank("zh_gsd", 10)
-        reasons = apply_exclusions(tb, ExclusionConfig(script_excluded_ids=frozenset({"zh_gsd"})))
+        reasons = apply_exclusions(tb, 3, frozenset({"zh_gsd"}))
         assert len(reasons) == 1
         assert reasons[0].reason == "non-alphabetic-script"
         assert reasons[0].measures == ("ws",)
 
     def test_partition(self):
         tbs = [featureless_treebank(f"t{i}", i) for i in range(6)]
-        rules = ExclusionConfig(min_feature_keys=3)
-        assert [bool(apply_exclusions(tb, rules)) for tb in tbs] == [True] * 3 + [False] * 3
+        assert [bool(apply_exclusions(tb, 3, frozenset())) for tb in tbs] == [True] * 3 + [False] * 3
 
     def test_empty_kept_is_allowed(self):
         tbs = [featureless_treebank("a_x", 0), featureless_treebank("b_x", 1)]
-        rules = ExclusionConfig(min_feature_keys=3)
-        assert all(apply_exclusions(tb, rules) for tb in tbs)
+        assert all(apply_exclusions(tb, 3, frozenset()) for tb in tbs)
 
 
 class TestManifest:

@@ -283,11 +283,23 @@ def test_neg_ia_pinned(release):
     assert cells == {tb: f"{-acc:.12g}" for tb, acc in PINNED_IA_ACCURACY.items()}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_output_digests_pinned(release, tmp_path, jobs):
+@pytest.mark.parametrize(
+    "jobs, hash_seed", [(1, None), (2, None), (2, "1")], ids=["1", "2", "2-PYTHONHASHSEED=1"]
+)
+def test_output_digests_pinned(release, tmp_path, jobs, hash_seed):
+    """In this process, and in a fresh interpreter under another hash seed:
+    every test and every forked worker shares this session's seed, so only a
+    fresh interpreter shows an output that depends on str hash order."""
     _, config, _, _ = release
     out = tmp_path / "out"
-    assert cli.main(["run-all", "--config", config, "--jobs", str(jobs), "--out", str(out)]) == 0
+    args = ["run-all", "--config", config, "--jobs", str(jobs), "--out", str(out)]
+    if hash_seed is None:
+        assert cli.main(args) == 0
+    else:
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-m", "morphcomplex.cli", *args],
+                       check=True, env=env, capture_output=True, timeout=300)
     digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_DIGESTS}
     assert digests == PINNED_DIGESTS
 
@@ -340,7 +352,7 @@ def test_no_ridge_row_for_rounding_level_component(tmp_path):
         [[tb, f"l{i}"] for i, tb in enumerate(ids)],
     )
     write_wals(tmp_path / "wals.csv", [f"l{i}" for i in range(len(ids))])
-    config = RunConfig(manifest="", out_dir=str(tmp_path), wals_csv=str(tmp_path / "wals.csv"))
+    config = RunConfig(manifest="", out=str(tmp_path), wals=str(tmp_path / "wals.csv"))
     assert pipeline.run_analyze(str(tmp_path), config) == {}
     _, _, components = pipeline._read_tsv(str(tmp_path / "pca.tsv"))
     assert len(components) == 5
@@ -713,8 +725,8 @@ def test_measure_commands_take_every_override(command, tmp_path):
     config.write_text("manifest = manifest.tsv\nout = out\n", encoding="utf-8")
     args = cli.build_parser().parse_args([command, "--config", str(config), "--out", "o", *OVERRIDES])
     loaded = cli._load(args)
-    assert (loaded.out_dir, loaded.jobs) == ("o", 2)
-    assert (loaded.sample.seed, loaded.sample.target_tokens, loaded.sample.repetitions) == (1, 30, 4)
+    assert (loaded.out, loaded.jobs) == ("o", 2)
+    assert (loaded.seed, loaded.target_tokens, loaded.repetitions) == (1, 30, 4)
 
 
 def test_invalid_override_exits_1(tmp_path, caplog):

@@ -3,7 +3,6 @@ import pytest
 
 from morphcomplex.sampling import (
     MeasureError,
-    SampleConfig,
     bootstrap_sample,
     measure_rng,
     run_repetitions,
@@ -72,62 +71,55 @@ class TestBootstrapSample:
 
 class TestRunRepetitions:
     def test_constant_measure(self):
-        config = SampleConfig(target_tokens=10, repetitions=100, seed=5)
-        stats = run_repetitions(five_token_treebank(), config, {"one": lambda s, rng: 1.0})
+        stats = run_repetitions(five_token_treebank(), {"one": lambda s, rng: 1.0}, 10, 100, 5)
         assert stats["one"].mean == 1.0
         assert stats["one"].stddev == 0.0
         assert stats["one"].n_repetitions == 100
         assert stats["one"].available
 
     def test_ttr_stddev_zero_on_single_unique_sentence(self):
-        config = SampleConfig(target_tokens=5, repetitions=20, seed=1)
-        stats = run_repetitions(five_token_treebank(), config, {"ttr": lambda s, rng: ttr(s)})
+        stats = run_repetitions(five_token_treebank(), {"ttr": lambda s, rng: ttr(s)}, 5, 20, 1)
         assert stats["ttr"].mean == 1.0
         assert stats["ttr"].stddev == 0.0
 
     def test_registration_order_does_not_matter(self):
         tb = varied_treebank()
-        config = SampleConfig(target_tokens=30, repetitions=10, seed=9)
         fns = {
             "ttr": lambda s, rng: ttr(s),
             "noise": lambda s, rng: float(rng.uniform()),
         }
-        forward = run_repetitions(tb, config, fns)
-        backward = run_repetitions(tb, config, dict(reversed(list(fns.items()))))
+        forward = run_repetitions(tb, fns, 30, 10, 9)
+        backward = run_repetitions(tb, dict(reversed(list(fns.items()))), 30, 10, 9)
         assert forward == backward
 
     def test_repetition_values_match_independent_recomputation(self):
         tb = varied_treebank()
-        config = SampleConfig(target_tokens=30, repetitions=8, seed=11)
-        stats = run_repetitions(tb, config, {"ttr": lambda s, rng: ttr(s)})
+        stats = run_repetitions(tb, {"ttr": lambda s, rng: ttr(s)}, 30, 8, 11)
         values = []
-        for rep in reversed(range(config.repetitions)):
+        for rep in reversed(range(8)):
             sample = bootstrap_sample(tb, 30, sample_rng(11, tb.id, rep))
             values.append(ttr(sample))
         assert stats["ttr"].mean == pytest.approx(np.mean(values), abs=1e-12)
         assert stats["ttr"].stddev == pytest.approx(np.std(values), abs=1e-12)
 
     def test_unavailable_when_any_repetition_lacks_value(self):
-        config = SampleConfig(target_tokens=5, repetitions=4, seed=0)
         values = iter([1.0, None, 1.0, 1.0])
         fns = {"never": lambda s, rng: None, "once": lambda s, rng: next(values)}
-        stats = run_repetitions(five_token_treebank(), config, fns)
+        stats = run_repetitions(five_token_treebank(), fns, 5, 4, 0)
         for name in fns:
             assert not stats[name].available
             assert (stats[name].mean, stats[name].stddev) == (None, None)
 
     def test_measure_error_carries_repetition_index(self):
-        config = SampleConfig(target_tokens=5, repetitions=3, seed=0)
-
         def boom(sample, rng):
             raise RuntimeError("bad measure")
 
         with pytest.raises(MeasureError, match="repetition 0"):
-            run_repetitions(five_token_treebank(), config, {"boom": boom})
+            run_repetitions(five_token_treebank(), {"boom": boom}, 5, 3, 0)
 
     def test_empty_measure_set_rejected(self):
         with pytest.raises(ValueError):
-            run_repetitions(five_token_treebank(), SampleConfig(), {})
+            run_repetitions(five_token_treebank(), {}, 5, 3, 0)
 
 
 class TestStreams:
@@ -141,10 +133,3 @@ class TestStreams:
         b = sample_rng(3, "tb2", 0).uniform(size=4)
         assert not np.allclose(a, b)
 
-
-class TestSampleConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            SampleConfig(target_tokens=0)
-        with pytest.raises(ValueError):
-            SampleConfig(repetitions=0)
