@@ -78,11 +78,6 @@ class Treebank:
         return np.diff(self.sentences, append=self.n_tokens)
 
     @cached_property
-    def sentence_length_list(self) -> list[int]:
-        """``sentence_lengths`` as Python ints, for fast scalar lookups."""
-        return self.sentence_lengths.tolist()
-
-    @cached_property
     def form_array(self) -> np.ndarray:
         """``forms`` as an object array, to gather a sample's forms in one step."""
         return np.array(self.forms, dtype=object)

@@ -292,8 +292,8 @@ def cross_validate(
     Instances are shuffled once and split into folds round-robin; every
     draw is evaluated on the same folds with its own derived generator, so
     draws are run grouped by n-gram order and fold without changing the
-    result.  Each (order, fold) computes its training and test Gram blocks
-    once for all its draws.  Ties between draws break toward the earlier draw.
+    result.  Each (order, fold) computes one Gram block of its training rows
+    against training and test rows for all its draws.  Ties go to the earlier draw.
     """
     if len(instances) < config.n_folds:
         raise ValueError(f"need at least {config.n_folds} instances, got {len(instances)}")
@@ -313,8 +313,8 @@ def cross_validate(
             kept, test = np.concatenate(folds[:f] + folds[f + 1 :]).tolist(), test_idx.tolist()
             train_set, train_scripts = [instances[i] for i in kept], [scripts[i] for i in kept]
             train_rows, test_set = [rows[i] for i in kept], [instances[i] for i in test]
-            train_gram = _gram(train_rows, train_rows, k)
-            test_gram = _gram(train_rows, [rows[i] for i in test], k)
+            gram = _gram(train_rows, train_rows + [rows[i] for i in test], k)
+            train_gram, test_gram = gram[:, : len(kept)], gram[:, len(kept) :]
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 rng_draw = np.random.default_rng([root, 3, draw, f])
                 model = train(train_set, draws[draw], rng_draw, scripts=train_scripts, gram=train_gram)

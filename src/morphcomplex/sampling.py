@@ -93,18 +93,22 @@ def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Gene
 
     The final sentence is truncated so the sample holds exactly
     ``target_tokens`` tokens; order inside each sentence is preserved.
+    ``rng`` makes exactly one draw per drawn sentence: each round draws as
+    many sentences as the budget still needs if every one is the longest.
     """
     if len(treebank.sentences) == 0 or treebank.n_tokens == 0:
         raise ValueError(f"treebank {treebank.id}: cannot sample from an empty treebank")
     if target_tokens < 1:
         raise ValueError("target_tokens must be >= 1")
-    sizes = treebank.sentence_length_list
-    drawn: list[int] = []
+    sizes = treebank.sentence_lengths
+    longest = int(sizes.max())
+    rounds = []
     total = 0
     while total < target_tokens:
-        drawn.append(int(rng.integers(0, len(sizes))))
-        total += sizes[drawn[-1]]
-    lens = treebank.sentence_lengths[drawn]
+        rounds.append(rng.integers(0, len(sizes), size=-((total - target_tokens) // longest)))
+        total += int(sizes[rounds[-1]].sum())
+    drawn = np.concatenate(rounds)
+    lens = sizes[drawn]
     starts = np.cumsum(lens) - lens
     tokens = np.repeat(treebank.sentences[drawn] - starts, lens) + np.arange(total)
     return Sample(treebank, tokens[:target_tokens], starts)

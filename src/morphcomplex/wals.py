@@ -83,7 +83,7 @@ def load_wals(
     for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
-        code = row[lang_col].strip()
+        code = row[lang_col].strip() if lang_col < len(row) else ""
         if not code:
             log.warning("load_wals: skipping row with empty language code")
             continue

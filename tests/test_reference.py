@@ -56,9 +56,25 @@ def test_parser_matches_reference(seed):
     assert (tb.n_tokens, tb.n_feature_keys) == (ref_tb.n_tokens, ref_tb.n_feature_keys)
 
 
-@pytest.mark.parametrize("target", [1, 7, 500, 3000])
-def test_bootstrap_draws_match_reference(target):
-    tb, ref_tb = both(random_conllu(4))
+def with_long_sentence(text: str, n_tokens: int) -> str:
+    """``text`` followed by one sentence of ``n_tokens`` tokens."""
+    rows = [
+        f"{i}\tlong{i % 9}\tlong\tX\t_\tCase=V{i % 3}\t0\tdep\t_\t_" for i in range(1, n_tokens + 1)
+    ]
+    return text + "\n".join(rows) + "\n\n"
+
+
+# The last input's longest sentence is longer than the target: every round
+# draws one sentence, and some samples are one truncated sentence.
+@pytest.mark.parametrize(
+    "target, text",
+    [pytest.param(t, random_conllu(4), id=str(t)) for t in (1, 7, 500, 3000)]
+    + [
+        pytest.param(3000, with_long_sentence(random_conllu(4, 3), 3500), id="longest-over-target")
+    ],
+)
+def test_bootstrap_draws_match_reference(target, text):
+    tb, ref_tb = both(text)
     for rep in range(10):
         rng, ref_rng = sample_rng(3, "tb", rep), sample_rng(3, "tb", rep)
         sample = bootstrap_sample(tb, target, rng)

@@ -70,6 +70,12 @@ class TestLoadWals:
         dm = encode(records, ["eng"], feature_list=["22A"])
         assert dm.column_names == ("22A=1 A", f"22A={MISSING_CATEGORY}")
 
+    def test_row_short_of_language_column_skipped(self, caplog):
+        """A row that ends before the language column has an empty code."""
+        records = load_wals("22A,iso_code\n6\n7,fi\n", ["22A"])
+        assert [(r.language_code, r.values) for r in records] == [("fi", {"22A": "7"})]
+        assert "skipping row with empty language code" in caplog.text
+
     def test_empty_csv_rejected(self):
         with pytest.raises(ValueError):
             load_wals("", ["22A"])
