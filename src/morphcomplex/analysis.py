@@ -46,7 +46,6 @@ class MeasureMatrix:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    measures: tuple[str, ...]
     values: np.ndarray
     significant: np.ndarray
     n_complete: np.ndarray
@@ -156,7 +155,7 @@ def correlation_matrix(m: MeasureMatrix, method: str = "pearson") -> Correlation
             r, sig = corr(m.values[both, i], m.values[both, j])
             values[i, j] = values[j, i] = r
             significant[i, j] = significant[j, i] = sig
-    return CorrelationMatrix(m.measures, values, significant, n_complete)
+    return CorrelationMatrix(values, significant, n_complete)
 
 
 def standardize(matrix: np.ndarray, column_names: Sequence[str] | None = None) -> np.ndarray:

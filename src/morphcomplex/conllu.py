@@ -118,8 +118,9 @@ def parse_conllu(text: str, id: str, lowercase: bool = False) -> Treebank:
     """Parse CoNLL-U text into a Treebank of basic-node tokens.
 
     Multiword-token range lines (``1-2``) and empty nodes (``1.1``) are
-    skipped.  Comment lines start with ``#``; blank lines end a sentence.
-    A leading byte-order mark and CRLF line ends are accepted.
+    skipped; any other ID that is not ASCII digits is an error.  Comment
+    lines start with ``#``; blank lines end a sentence.  A leading
+    byte-order mark and CRLF line ends are accepted.
     ``lowercase`` folds forms and lemmas (off by default).
     """
     return _parse_lines(text.removeprefix("\ufeff").split("\n"), id, lowercase)
@@ -164,10 +165,11 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
         if len(cols) != _N_COLUMNS:
             raise ConlluParseError(f"expected {_N_COLUMNS} columns, got {len(cols)}", line_no)
         tok_id = cols[0]
-        if not tok_id.isdigit():
-            if "-" in tok_id or "." in tok_id:
-                continue  # surface range line or empty node
-            raise ConlluParseError(f"unparsable token ID {tok_id!r}", line_no)
+        if not (tok_id.isascii() and tok_id.isdigit()):
+            head, sep, tail = tok_id.partition("-" if "-" in tok_id else ".")
+            if not (sep and tok_id.isascii() and head.isdigit() and tail.isdigit()):
+                raise ConlluParseError(f"unparsable token ID {tok_id!r}", line_no)
+            continue  # surface range line N-M or empty node N.M
         form, lemma, feats = cols[1], cols[2], cols[5]
         if not form or not lemma:
             raise ConlluParseError("empty FORM or LEMMA column", line_no)
@@ -195,7 +197,8 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
 
     Blank lines and ``#`` comments are skipped; relative paths resolve
     against the manifest's own directory.  Every output keys its rows by
-    treebank id, so an id listed twice is rejected, as is an empty cell.
+    treebank id, so an id listed twice is rejected, as is an empty cell or
+    an id starting with ``#``, which an output TSV reads as metadata.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str, str]] = []
@@ -212,6 +215,8 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
             for name, cell in (("treebank id", tb_id), ("language", lang), ("path", tb_path)):
                 if not cell:
                     raise ValueError(f"{path}: line {line_no}: empty {name}")
+            if tb_id.startswith("#"):
+                raise ValueError(f"{path}: line {line_no}: treebank id {tb_id!r} starts with '#'")
             if tb_id in seen:
                 raise ValueError(
                     f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -262,14 +262,12 @@ def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
     return predict_batch(model, [lemma], gram)[0]
 
 
-@dataclass(frozen=True)
 class IASearchConfig:
-    """``n_draws`` random (n-gram order, epochs) draws, each scored by cross validation."""
+    """Folds and ranges of ``cross_validate``'s (n-gram order, epochs) draws."""
 
-    n_draws: int = 20
-    n_folds: ClassVar[int] = 3
-    ngram_range: ClassVar[tuple[int, int]] = (1, 4)
-    epoch_range: ClassVar[tuple[int, int]] = (5, 30)
+    n_folds = 3
+    ngram_range = (1, 4)
+    epoch_range = (5, 30)
 
 
 @dataclass(frozen=True)
@@ -277,17 +275,12 @@ class IAResult:
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
     params: Hyperparams
-    n_draws: int
-
-    @property
-    def measure_value(self) -> float:
-        return -self.mean_accuracy
 
 
 def cross_validate(
-    instances: Sequence[InflectionInstance], config: IASearchConfig, rng: np.random.Generator
+    instances: Sequence[InflectionInstance], n_draws: int, rng: np.random.Generator
 ) -> IAResult:
-    """Best mean exact-match accuracy over random hyperparameter draws.
+    """Best mean exact-match accuracy over ``n_draws`` random hyperparameter draws.
 
     Instances are shuffled once and split into folds round-robin; every
     draw is evaluated on the same folds with its own derived generator, so
@@ -295,19 +288,20 @@ def cross_validate(
     result.  Each (order, fold) computes one Gram block of its training rows
     against training and test rows for all its draws.  Ties go to the earlier draw.
     """
-    if len(instances) < config.n_folds:
-        raise ValueError(f"need at least {config.n_folds} instances, got {len(instances)}")
+    n_folds = IASearchConfig.n_folds
+    if len(instances) < n_folds:
+        raise ValueError(f"need at least {n_folds} instances, got {len(instances)}")
     root = int(rng.integers(0, 2**63))
     order = np.random.default_rng([root, 1]).permutation(len(instances))
-    folds = [order[f :: config.n_folds] for f in range(config.n_folds)]
+    folds = [order[f::n_folds] for f in range(n_folds)]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
     rows = [(i.lemma, i.feature_bundle) for i in instances]
-    ranges = (config.ngram_range, config.epoch_range)
+    ranges = (IASearchConfig.ngram_range, IASearchConfig.epoch_range)
     draws = [
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
-        for g in (np.random.default_rng([root, 2, d]) for d in range(config.n_draws))
+        for g in (np.random.default_rng([root, 2, d]) for d in range(n_draws))
     ]
-    fold_acc = [[0.0] * config.n_folds for _ in draws]
+    fold_acc = [[0.0] * n_folds for _ in draws]
     for k in sorted({p.ngram_order for p in draws}):
         for f, test_idx in enumerate(folds):
             kept, test = np.concatenate(folds[:f] + folds[f + 1 :]).tolist(), test_idx.tolist()
@@ -322,5 +316,5 @@ def cross_validate(
                 correct = sum(p == i.form for p, i in zip(predicted, test_set))
                 fold_acc[draw][f] = correct / len(test_set)
     means = [float(np.mean(acc)) for acc in fold_acc]
-    best = max(range(config.n_draws), key=lambda d: (means[d], -d))
-    return IAResult(tuple(fold_acc[best]), means[best], draws[best], config.n_draws)
+    best = max(range(n_draws), key=lambda d: (means[d], -d))
+    return IAResult(tuple(fold_acc[best]), means[best], draws[best])

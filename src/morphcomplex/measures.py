@@ -38,8 +38,8 @@ ALL_MEASURES = SAMPLE_MEASURES + ("neg_ia",)
 
 # One fixed deflate-class setting; ws values are only comparable when every
 # text went through the same compressor.  Recorded in run metadata.
-COMPRESSOR_SETTING = "zlib-level9"
 _COMPRESS_LEVEL = 9
+COMPRESSOR_SETTING = f"zlib-level{_COMPRESS_LEVEL}"
 
 # Replacement strings must never contain the characters used to join
 # tokens and sentences when serializing for compression.

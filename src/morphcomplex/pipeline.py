@@ -176,9 +176,8 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
             if len(instances) < IASearchConfig.n_folds:
                 outcome.stats["neg_ia"] = MeasureStats(None, None, 1)
             else:
-                result = cross_validate(instances, IASearchConfig(config.ia_draws), rng)
-                outcome.ia = result
-                outcome.stats["neg_ia"] = MeasureStats(result.measure_value, 0.0, 1)
+                outcome.ia = cross_validate(instances, config.ia_draws, rng)
+                outcome.stats["neg_ia"] = MeasureStats(-outcome.ia.mean_accuracy, 0.0, 1)
     except Exception as exc:  # isolate per-treebank failures
         error = f"{type(exc).__name__}: {exc}"
         debug = log.isEnabledFor(logging.DEBUG)
@@ -260,7 +259,7 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
             "epochs": o.ia.params.epochs,
             "mean_accuracy": o.ia.mean_accuracy,
             "fold_accuracies": list(o.ia.fold_accuracies),
-            "n_draws": o.ia.n_draws,
+            "n_draws": config.ia_draws,
         }
         for o in outcomes
         if o.ia is not None
@@ -329,19 +328,19 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
 
     matrix, languages, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, "analyze")
-    records = None
+    wals_table = None
     if config.wals is not None:  # before any output, so a bad file leaves none
         with open(config.wals, encoding="utf-8-sig") as f:
-            records = load_wals(f.read())
+            wals_table = load_wals(f.read())
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
     corr_rows: list[list[object]] = []
     for method in ("pearson", "spearman"):
         cm = correlation_matrix(matrix, method)
-        for i, j in zip(*np.triu_indices(len(cm.measures))):
+        for i, j in zip(*np.triu_indices(len(matrix.measures))):
             corr_rows.append(
-                [method, cm.measures[i], cm.measures[j], cm.values[i, j],
+                [method, matrix.measures[i], matrix.measures[j], cm.values[i, j],
                  cm.significant[i, j], cm.n_complete[i, j]]
             )
     corr_header = ["method", "measure_i", "measure_j", "value", "significant", "n_complete"]
@@ -385,7 +384,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
         target_names += pc_names
 
     ridge_rows: list[list[object]] = []
-    if records is not None:
+    if wals_table is not None:
         # Targets over the same languages share one design and one ridge fit.
         row_sets: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
         tb_codes = np.array([languages.get(tb, "") for tb in matrix.treebank_ids])
@@ -393,13 +392,13 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
             rows = ~np.isnan(column)
             try:
                 codes, values = match_rows(
-                    records, tb_codes[rows], column[rows], config.wals_rows == "per-language"
+                    wals_table, tb_codes[rows], column[rows], config.wals_rows == "per-language"
                 )
                 row_sets.setdefault(codes, {})[name] = standardize(values, [name])
             except ValueError as exc:
                 errors[f"ridge:{name}"] = str(exc)
         for codes, columns in row_sets.items():
-            report = ridge_loocv(encode(records, codes).matrix, np.hstack([*columns.values()]))
+            report = ridge_loocv(encode(wals_table, codes).matrix, np.hstack([*columns.values()]))
             for k, name in enumerate(columns):
                 alphas = ";".join(map(_cell, report.chosen_alphas[:, k]))
                 ridge_rows.append(

@@ -1,4 +1,9 @@
-"""Loading WALS typological features and one-hot encoding for regression."""
+"""Loading WALS typological features and one-hot encoding for regression.
+
+A loaded WALS table is one mapping from each casefolded language code to
+its non-empty feature values, so a manifest and a WALS export may disagree
+on letter case, and a code's first row is the only one kept.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,12 +29,6 @@ MISSING_CATEGORY = "__missing__"
 
 
 @dataclass(frozen=True)
-class WalsRecord:
-    language_code: str
-    values: dict[str, str]
-
-
-@dataclass(frozen=True)
 class DesignMatrix:
     matrix: np.ndarray
     column_names: tuple[str, ...]
@@ -37,16 +36,15 @@ class DesignMatrix:
 
 def load_wals(
     csv_text: str, feature_list: Sequence[str] = MORPHOLOGY_FEATURES
-) -> list[WalsRecord]:
-    """Parse a WALS CSV export into per-language records.
+) -> dict[str, dict[str, str]]:
+    """Parse a WALS CSV export into each casefolded language code's feature values.
 
     The header must contain a language-code column (one of
     ``language_code``, ``iso_code``, ``wals_code``) and one column per
     requested feature; a feature column matches when its header equals the
     feature id or starts with ``"<id> "``.  Empty cells become missing
-    values; columns outside ``feature_list`` are ignored.  Codes are matched
-    casefolded, so a row whose code repeats an earlier one in any letter
-    case is skipped with a warning.
+    values; columns outside ``feature_list`` are ignored.  A row whose code
+    repeats an earlier one in any letter case is skipped with a warning.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -78,47 +76,40 @@ def load_wals(
     if missing:
         raise ValueError(f"WALS CSV header is missing feature columns: {missing}")
 
-    records: list[WalsRecord] = []
-    seen: set[str] = set()
+    table: dict[str, dict[str, str]] = {}
     for row in reader:
-        if not row or all(not c.strip() for c in row):
+        cells = [c.strip() for c in row] + [""] * len(header)  # a short row ends in empty cells
+        if not any(cells):
             continue
-        code = row[lang_col].strip() if lang_col < len(row) else ""
+        code = cells[lang_col]
         if not code:
             log.warning("load_wals: skipping row with empty language code")
             continue
-        if code.casefold() in seen:
+        if code.casefold() in table:
             log.warning("load_wals: duplicate language %s; keeping first row", code)
             continue
-        seen.add(code.casefold())
-        values = {}
-        for fid, col in feature_cols.items():
-            cell = row[col].strip() if col < len(row) else ""
-            if cell:
-                values[fid] = cell
+        values = {fid: cells[col] for fid, col in feature_cols.items() if cells[col]}
         if not values:
             log.warning("load_wals: language %s has no feature values", code)
-        records.append(WalsRecord(code, values))
-    return records
+        table[code.casefold()] = values
+    return table
 
 
 def match_rows(
-    records: Sequence[WalsRecord],
+    table: Mapping[str, dict[str, str]],
     codes: Sequence[str],
     values: np.ndarray,
     per_language: bool,
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The regression rows of one target: its values whose language has a record.
+    """The regression rows of one target: its values whose language is in ``table``.
 
-    ``codes[i]`` is the language of ``values[i]``.  Codes are compared and
-    returned casefolded, so a manifest and a WALS export may disagree on
-    letter case.  With ``per_language`` the rows of each language become
-    one row holding their mean, in sorted code order.  Raises
+    ``codes[i]`` is the language of ``values[i]``.  Codes are looked up and
+    returned casefolded.  With ``per_language`` the rows of each language
+    become one row holding their mean, in sorted code order.  Raises
     ``ValueError`` when fewer than 3 rows (or languages) remain.
     """
-    known = {rec.language_code.casefold() for rec in records}
     folded = [code.casefold() for code in codes]
-    keep = [i for i, code in enumerate(folded) if code in known]
+    keep = [i for i, code in enumerate(folded) if code in table]
     if len(keep) < 3:
         raise ValueError(f"only {len(keep)} rows matched WALS languages")
     kept_codes = tuple(folded[i] for i in keep)
@@ -134,26 +125,24 @@ def match_rows(
 
 
 def encode(
-    records: Sequence[WalsRecord],
+    table: Mapping[str, dict[str, str]],
     languages: Sequence[str],
     feature_list: Sequence[str] = MORPHOLOGY_FEATURES,
 ) -> DesignMatrix:
     """One-hot encode categorical features, one row per requested language.
 
     Each feature contributes one indicator per category observed anywhere
-    in ``records`` plus a dedicated missing indicator, so every row sums to
-    exactly 1 within each feature's block.  Languages without a record get
-    all-missing rows.  Codes are compared casefolded, and the first record
-    of a code wins.  Column order is fixed: feature-list order, then
-    category lexicographic, missing last.
+    in ``table`` plus a dedicated missing indicator, so every row sums to
+    exactly 1 within each feature's block.  Languages not in ``table``
+    (looked up casefolded) get all-missing rows.  Column order is fixed:
+    feature-list order, then category lexicographic, missing last.
     """
     if not languages:
         raise ValueError("languages must be nonempty")
-    by_code = {rec.language_code.casefold(): rec for rec in reversed(records)}
 
     categories: dict[str, list[str]] = {}
     for fid in feature_list:
-        observed = {rec.values[fid] for rec in records if fid in rec.values}
+        observed = {values[fid] for values in table.values() if fid in values}
         categories[fid] = sorted(observed)
 
     column_names: list[str] = []
@@ -165,9 +154,7 @@ def encode(
 
     matrix = np.zeros((len(languages), len(column_names)))
     for r, code in enumerate(languages):
-        rec = by_code.get(code.casefold())
+        values = table.get(code.casefold(), {})
         for fid in feature_list:
-            value = rec.values.get(fid) if rec is not None else None
-            cat = value if value is not None else MISSING_CATEGORY
-            matrix[r, col_of[(fid, cat)]] = 1.0
+            matrix[r, col_of[(fid, values.get(fid, MISSING_CATEGORY))]] = 1.0
     return DesignMatrix(matrix, tuple(column_names))

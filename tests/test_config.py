@@ -129,11 +129,13 @@ def test_apply_overrides_changes_only_given_values():
     )
 
 
-def test_ia_search_takes_only_the_draw_count():
+def test_ia_search_config_takes_no_arguments():
+    """The draw count is ``RunConfig.ia_draws`` alone; the rest is constant."""
     assert IASearchConfig().ngram_range == (1, 4)
     assert (IASearchConfig.n_folds, IASearchConfig.epoch_range) == (3, (5, 30))
-    with pytest.raises(TypeError):
-        IASearchConfig(n_folds=5)
+    for kwargs in ({"n_draws": 20}, {"n_folds": 5}):
+        with pytest.raises(TypeError):
+            IASearchConfig(**kwargs)
 
 
 def test_readme_keys_fields_and_override_flags_agree():

@@ -315,6 +315,7 @@ class TestRoundTrip:
         at = data.draw(st.integers(0, len(lines)))
         bad = data.draw(st.sampled_from(
             [token_line(1, "a", feats="Case"), "1\tonly-two", token_line("x", "a")]
+            + [token_line(i, "a") for i in ("x-y", "-", "1.", ".", "1-2-3", "1-2.1", "²", "1-²")]
         ))
         with pytest.raises(ConlluParseError) as err:
             parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x")
@@ -383,6 +384,15 @@ class TestManifest:
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"# comment\nb\tyy\tb.conllu\n{row}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{manifest}: line 3: empty {name}')}$"):
+            read_manifest(str(manifest))
+
+    def test_id_starting_with_hash_names_its_line(self, tmp_path):
+        """A leading space keeps the line from being a comment, but every
+        output TSV would read the id's rows back as metadata."""
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("b\tyy\tb.conllu\n #tb0\tl0\ttb00.conllu\n")
+        expected = f"{manifest}: line 2: treebank id '#tb0' starts with '#'"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             read_manifest(str(manifest))
 
     def test_empty_manifest(self, tmp_path):

@@ -177,7 +177,7 @@ def reference_ridge_rows(out, wals_csv, per_language=False):
         for j, m in enumerate(matrix.measures)
     ]
     targets += [(f"pc{k + 1}", ids[complete], scores[:, k]) for k in range(scores.shape[1])]
-    records = load_wals(wals_csv.read_text(encoding="utf-8"))
+    wals_table = load_wals(wals_csv.read_text(encoding="utf-8"))
     rows = []
     for name, tb_ids, values in targets:
         codes = [languages[tb] for tb in tb_ids]
@@ -188,7 +188,7 @@ def reference_ridge_rows(out, wals_csv, per_language=False):
             codes = sorted(grouped)
             values = np.array([np.mean(grouped[code]) for code in codes])
         y = (values - values.mean()) / values.std()
-        chosen, _, rmse = nested_loo_reference(encode(records, codes).matrix, y)
+        chosen, _, rmse = nested_loo_reference(encode(wals_table, codes).matrix, y)
         rows.append([name, str(len(codes)), f"{rmse:.12g}", ";".join(f"{a:.12g}" for a in chosen)])
     return rows
 
