@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from .config import RunConfig, apply_overrides, load_config
 from .pipeline import run_analyze, run_measure, run_plot
@@ -44,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    overrides = ("out", "seed", "jobs", "target_tokens", "repetitions")
-    return apply_overrides(load_config(args.config), **{k: getattr(args, k, None) for k in overrides})
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names}
+    return apply_overrides(load_config(args.config), **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -68,7 +68,7 @@ def _value(key: str, text: str, base_dir: str) -> object:
     """The field value that ``text`` gives config key ``key``, of its default's type."""
     default = _DEFAULTS[key]
     if key in ("manifest", "out", "wals"):
-        return text if os.path.isabs(text) else os.path.join(base_dir, text)
+        return os.path.join(base_dir, text)
     if isinstance(default, bool):  # before int: a bool is an int
         if text.lower() not in _BOOL_VALUES:
             raise ValueError(f"config key {key}: expected a boolean, got {text!r}")

@@ -1,4 +1,4 @@
-"""CoNLL-U parsing into a columnar treebank, and treebank-level exclusion rules.
+"""CoNLL-U parsing into a columnar treebank, and the run manifest.
 
 Only the columns needed for morphological statistics are kept: FORM,
 LEMMA and FEATS, each interned into a table of distinct values with one
@@ -24,14 +24,6 @@ import numpy as np
 EMPTY_MARKER = ""
 
 _N_COLUMNS = 10
-
-# Measure names affected by each exclusion rule.  Treebanks excluded for a
-# reason stay usable for every measure not listed under that reason.
-FEATURE_MEASURES = ("is", "mfh", "neg_ia")
-SCRIPT_MEASURES = ("ws",)
-
-REASON_NO_MORPH = "no-morph-features"
-REASON_NON_ALPHABETIC = "non-alphabetic-script"
 
 
 class ConlluParseError(ValueError):
@@ -222,32 +214,7 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
                     f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"
                 )
             seen[tb_id] = line_no
-            if not os.path.isabs(tb_path):
-                tb_path = os.path.join(base, tb_path)
-            entries.append((tb_id, lang, tb_path))
+            entries.append((tb_id, lang, os.path.join(base, tb_path)))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries
-
-
-@dataclass(frozen=True)
-class Exclusion:
-    reason: str
-    measures: tuple[str, ...]
-
-
-def apply_exclusions(
-    treebank: Treebank, min_feature_keys: int, script_exclude: frozenset[str]
-) -> tuple[Exclusion, ...]:
-    """The exclusion records of one treebank, empty when no rule applies:
-    fewer than ``min_feature_keys`` feature keys, or an id in ``script_exclude``.
-
-    Each record names a machine-readable reason and the affected measures;
-    an excluded treebank remains eligible for all other measures.
-    """
-    reasons: list[Exclusion] = []
-    if treebank.n_feature_keys < min_feature_keys:
-        reasons.append(Exclusion(REASON_NO_MORPH, FEATURE_MEASURES))
-    if treebank.id in script_exclude:
-        reasons.append(Exclusion(REASON_NON_ALPHABETIC, SCRIPT_MEASURES))
-    return tuple(reasons)

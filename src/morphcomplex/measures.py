@@ -24,17 +24,24 @@ from __future__ import annotations
 
 import logging
 import zlib
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .conllu import Treebank
-from .sampling import Sample
+from .sampling import MeasureFn, Sample
 
 log = logging.getLogger(__name__)
 
 SAMPLE_MEASURES = ("ttr", "ws", "wh", "lh", "msp", "is", "mfh")
 ALL_MEASURES = SAMPLE_MEASURES + ("neg_ia",)
+
+# The measures each treebank exclusion rule removes, by reason.  A treebank
+# excluded for a reason keeps every measure not listed under it.
+EXCLUDED_MEASURES = {
+    "no-morph-features": ("is", "mfh", "neg_ia"),
+    "non-alphabetic-script": ("ws",),
+}
 
 # One fixed deflate-class setting; ws values are only comparable when every
 # text went through the same compressor.  Recorded in run metadata.
@@ -272,12 +279,9 @@ def word_structure_information(sample: Sample, rng: np.random.Generator) -> floa
     return compression_ratio(distorted) - compression_ratio(original)
 
 
-def sample_measure_functions(
-    names: Iterable[str] = SAMPLE_MEASURES,
-    is_count_values: bool = False,
-) -> dict[str, Callable[[Sample, np.random.Generator], float | None]]:
-    """Build the registry mapping measure names to (sample, rng) callables."""
-    registry: dict[str, Callable[[Sample, np.random.Generator], float | None]] = {
+def sample_measure_functions(names: Iterable[str], is_count_values: bool) -> dict[str, MeasureFn]:
+    """The (sample, rng) callable of each of ``names``, a subset of ``SAMPLE_MEASURES``."""
+    registry: dict[str, MeasureFn] = {
         "ttr": lambda s, rng: ttr(s),
         "ws": word_structure_information,
         "wh": lambda s, rng: word_entropy(s),
@@ -286,7 +290,19 @@ def sample_measure_functions(
         "is": lambda s, rng: inflectional_synthesis(s, count_values=is_count_values),
         "mfh": lambda s, rng: feature_entropy(s),
     }
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise ValueError(f"unknown sample-level measures: {unknown}")
     return {name: registry[name] for name in names}
+
+
+def apply_exclusions(
+    treebank: Treebank, min_feature_keys: int, script_exclude: frozenset[str]
+) -> tuple[str, ...]:
+    """The reasons, keys of ``EXCLUDED_MEASURES``, that exclude measures of
+    one treebank: fewer than ``min_feature_keys`` feature keys, or an id in
+    ``script_exclude``.  Empty when no rule applies.
+    """
+    reasons: list[str] = []
+    if treebank.n_feature_keys < min_feature_keys:
+        reasons.append("no-morph-features")
+    if treebank.id in script_exclude:
+        reasons.append("non-alphabetic-script")
+    return tuple(reasons)

@@ -28,9 +28,15 @@ from .analysis import (
     standardize,
 )
 from .config import RunConfig
-from .conllu import Exclusion, apply_exclusions, parse_conllu_file, read_manifest
+from .conllu import parse_conllu_file, read_manifest
 from .inflection import IAResult, IASearchConfig, cross_validate, extract_instances
-from .measures import ALL_MEASURES, COMPRESSOR_SETTING, sample_measure_functions
+from .measures import (
+    ALL_MEASURES,
+    COMPRESSOR_SETTING,
+    EXCLUDED_MEASURES,
+    apply_exclusions,
+    sample_measure_functions,
+)
 from .sampling import MeasureStats, bootstrap_sample, inflection_rng, run_repetitions
 
 log = logging.getLogger(__name__)
@@ -136,7 +142,7 @@ class TreebankOutcome:
     n_sentences: int = 0
     n_tokens: int = 0
     n_feature_keys: int = 0
-    exclusions: tuple[Exclusion, ...] = ()
+    exclusions: tuple[str, ...] = ()  # keys of EXCLUDED_MEASURES
     stats: dict[str, MeasureStats] = field(default_factory=dict)
     ia: IAResult | None = None
     error: str = ""  # set exactly when the treebank failed
@@ -162,7 +168,7 @@ def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutc
         outcome.exclusions = apply_exclusions(
             treebank, config.min_feature_keys, config.script_exclude
         )
-        excluded = {m for e in outcome.exclusions for m in e.measures}
+        excluded = {m for reason in outcome.exclusions for m in EXCLUDED_MEASURES[reason]}
         sample_names = [m for m in config.measures if m != "neg_ia" and m not in excluded]
         if sample_names:
             fns = sample_measure_functions(sample_names, is_count_values=config.is_unit == "pairs")
@@ -204,7 +210,8 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     _remove_outputs(config.out, "measure")
     if config.jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # Fork starts every worker at the first submit: no more than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(entries))) as pool:
             outcomes = list(pool.map(_measure_one, entries, [config] * len(entries)))
     else:
         outcomes = [_measure_one(entry, config) for entry in entries]
@@ -212,10 +219,8 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
     return outcomes
 
 
-def _exclusions_cell(exclusions: tuple[Exclusion, ...]) -> str:
-    if not exclusions:
-        return "-"
-    return ";".join(f"{e.reason}:{'+'.join(e.measures)}" for e in exclusions)
+def _exclusions_cell(exclusions: tuple[str, ...]) -> str:
+    return ";".join(f"{r}:{'+'.join(EXCLUDED_MEASURES[r])}" for r in exclusions) or "-"
 
 
 def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):

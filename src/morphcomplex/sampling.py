@@ -127,8 +127,6 @@ def run_repetitions(
     parallelising repetitions cannot change the summary.  A measure is
     reported as available only when every repetition produced a value.
     """
-    if not measure_fns:
-        raise ValueError("measure_fns must be nonempty")
     values: dict[str, list[float | None]] = {name: [] for name in measure_fns}
     for rep in range(repetitions):
         sample = bootstrap_sample(treebank, target_tokens, sample_rng(seed, treebank.id, rep))

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from morphcomplex.conllu import (
     ConlluParseError,
-    apply_exclusions,
     parse_conllu,
     parse_conllu_file,
     read_manifest,
 )
 
 import reference
-from synthdata import conllu_text, make_token, make_treebank, treebank_tokens
+from synthdata import conllu_text, make_token, treebank_tokens
 
 
 def token_line(idx, form, lemma="_", upos="NOUN", feats="_"):
@@ -320,38 +319,6 @@ class TestRoundTrip:
         with pytest.raises(ConlluParseError) as err:
             parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x")
         assert err.value.line_no == at + 1
-
-
-def featureless_treebank(tb_id, n_keys):
-    feats = {f"K{i}": "v" for i in range(n_keys)}
-    return make_treebank(tb_id, [[make_token("a", "a", feats=feats)]])
-
-
-class TestExclusions:
-    def test_threshold_rule(self):
-        tb = featureless_treebank("ja_x", 2)
-        [reason] = apply_exclusions(tb, 3, frozenset())
-        assert reason.reason == "no-morph-features"
-        assert set(reason.measures) == {"is", "mfh", "neg_ia"}
-
-    def test_rich_treebank_kept(self):
-        tb = featureless_treebank("fi_x", 29)
-        assert apply_exclusions(tb, 3, frozenset()) == ()
-
-    def test_deny_list_hits_ws_only(self):
-        tb = featureless_treebank("zh_gsd", 10)
-        reasons = apply_exclusions(tb, 3, frozenset({"zh_gsd"}))
-        assert len(reasons) == 1
-        assert reasons[0].reason == "non-alphabetic-script"
-        assert reasons[0].measures == ("ws",)
-
-    def test_partition(self):
-        tbs = [featureless_treebank(f"t{i}", i) for i in range(6)]
-        assert [bool(apply_exclusions(tb, 3, frozenset())) for tb in tbs] == [True] * 3 + [False] * 3
-
-    def test_empty_kept_is_allowed(self):
-        tbs = [featureless_treebank("a_x", 0), featureless_treebank("b_x", 1)]
-        assert all(apply_exclusions(tb, 3, frozenset()) for tb in tbs)
 
 
 class TestManifest:

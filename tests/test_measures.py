@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphcomplex.measures import (
+    ALL_MEASURES,
+    EXCLUDED_MEASURES,
+    SAMPLE_MEASURES,
+    apply_exclusions,
     char_unigram_model,
     compression_ratio,
     distort,
@@ -26,6 +30,7 @@ from morphcomplex.measures import (
 from synthdata import (
     make_sample,
     make_token,
+    make_treebank,
     matched_corpora,
     sample_forms,
     single_char_type_sample,
@@ -353,17 +358,53 @@ class TestWordStructure:
 
 class TestRegistry:
     def test_all_sample_measures_available(self):
-        fns = sample_measure_functions()
+        fns = sample_measure_functions(SAMPLE_MEASURES, False)
         assert set(fns) == {"ttr", "ws", "wh", "lh", "msp", "is", "mfh"}
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            sample_measure_functions(["ttr", "nope"])
 
     def test_functions_apply(self):
         sample = words("a", "b", "a")
-        fns = sample_measure_functions(["ttr", "wh"])
+        fns = sample_measure_functions(["ttr", "wh"], False)
         assert fns["ttr"](sample, np.random.default_rng(0)) == pytest.approx(2 / 3)
         assert fns["wh"](sample, np.random.default_rng(0)) == pytest.approx(
             entropy_oracle(Counter(["a", "b", "a"])), abs=1e-12
         )
+
+
+def featureless_treebank(tb_id, n_keys):
+    feats = {f"K{i}": "v" for i in range(n_keys)}
+    return make_treebank(tb_id, [[make_token("a", "a", feats=feats)]])
+
+
+class TestExclusions:
+    def test_table(self):
+        assert EXCLUDED_MEASURES == {
+            "no-morph-features": ("is", "mfh", "neg_ia"),
+            "non-alphabetic-script": ("ws",),
+        }
+        assert {m for ms in EXCLUDED_MEASURES.values() for m in ms} <= set(ALL_MEASURES)
+
+    def test_threshold_rule(self):
+        tb = featureless_treebank("ja_x", 2)
+        assert apply_exclusions(tb, 3, frozenset()) == ("no-morph-features",)
+
+    def test_rich_treebank_kept(self):
+        tb = featureless_treebank("fi_x", 29)
+        assert apply_exclusions(tb, 3, frozenset()) == ()
+
+    def test_deny_list_hits_ws_only(self):
+        tb = featureless_treebank("zh_gsd", 10)
+        assert apply_exclusions(tb, 3, frozenset({"zh_gsd"})) == ("non-alphabetic-script",)
+
+    def test_both_rules(self):
+        tb = featureless_treebank("zh_x", 0)
+        assert apply_exclusions(tb, 3, frozenset({"zh_x"})) == (
+            "no-morph-features", "non-alphabetic-script",
+        )
+
+    def test_partition(self):
+        tbs = [featureless_treebank(f"t{i}", i) for i in range(6)]
+        assert [bool(apply_exclusions(tb, 3, frozenset())) for tb in tbs] == [True] * 3 + [False] * 3
+
+    def test_empty_kept_is_allowed(self):
+        tbs = [featureless_treebank("a_x", 0), featureless_treebank("b_x", 1)]
+        assert all(apply_exclusions(tb, 3, frozenset()) for tb in tbs)

@@ -274,6 +274,32 @@ def test_jobs_do_not_change_outputs(release):
     assert_same_outputs(root / "out", root / "out2")
 
 
+def test_pool_has_at_most_one_worker_per_treebank(tmp_path, monkeypatch):
+    """Under fork, the pool starts all ``max_workers`` processes at the first submit."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    for i in range(2):
+        sentences = suffixing_sentences(seed=i, n_lemmas=20, n_cells=2, n_keys=3, n_tokens=200)
+        (tmp_path / f"tb{i}.conllu").write_text(conllu_text(sentences), encoding="utf-8")
+    manifest = "tb0\tl0\ttb0.conllu\ntb1\tl1\ttb1.conllu\n"
+    (tmp_path / "manifest.tsv").write_text(manifest, encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "manifest = manifest.tsv\nout = out\ntarget_tokens = 100\nrepetitions = 1\nmeasures = ttr\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["measure", "--config", str(config), "--jobs", "4"]) == 0
+    assert sizes == [2]
+
+
 def test_neg_ia_pinned(release):
     root, _, _, _ = release
     ia = json.loads((root / "out" / "ia_params.json").read_text(encoding="utf-8"))["treebanks"]

@@ -117,10 +117,6 @@ class TestRunRepetitions:
         with pytest.raises(MeasureError, match="repetition 0"):
             run_repetitions(five_token_treebank(), {"boom": boom}, 5, 3, 0)
 
-    def test_empty_measure_set_rejected(self):
-        with pytest.raises(ValueError):
-            run_repetitions(five_token_treebank(), {}, 5, 3, 0)
-
 
 class TestStreams:
     def test_measure_streams_are_independent_of_each_other(self):
