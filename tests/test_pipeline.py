@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from morphcomplex import cli, measures, pipeline
 from morphcomplex.analysis import pca, standardize
 from morphcomplex.config import RunConfig
+from morphcomplex.conllu import parse_conllu
 from morphcomplex.measures import ALL_MEASURES
 from morphcomplex.wals import MORPHOLOGY_FEATURES, encode, load_wals
 
@@ -67,14 +69,18 @@ def write_wals(path, languages):
     path.write_text("\n".join(wals) + "\n", encoding="utf-8")
 
 
-def write_release(root):
-    """Treebanks, manifest, WALS CSV and run config; returns the config path."""
+def write_release(root, settings="", capitalize=False):
+    """Treebanks, manifest, WALS CSV and run config with ``settings`` lines
+    appended; returns the config path.  ``capitalize`` upper-cases each
+    sentence's first letter."""
     manifest = []
     languages = []
     for i in range(N_TREEBANKS):
         sentences = suffixing_sentences(
             seed=i, n_lemmas=20 + 7 * i, n_cells=2 + i % 6, n_keys=3 + i % 4, n_tokens=400
         )
+        if capitalize:
+            sentences = [[replace(s[0], form=s[0].form.capitalize()), *s[1:]] for s in sentences]
         path = root / f"tb{i}.conllu"
         path.write_text(conllu_text(sentences), encoding="utf-8")
         lang = f"l{i % 8}"  # two languages have two treebanks
@@ -85,7 +91,7 @@ def write_release(root):
     config = root / "run.cfg"
     config.write_text(
         "manifest = manifest.tsv\nout = out\nwals = wals.csv\n"
-        "target_tokens = 200\nrepetitions = 2\nseed = 7\nia_draws = 1\n",
+        "target_tokens = 200\nrepetitions = 2\nseed = 7\nia_draws = 1\n" + settings,
         encoding="utf-8",
     )
     return str(config)
@@ -313,11 +319,15 @@ def test_neg_ia_pinned(release):
     "jobs, hash_seed", [(1, None), (2, None), (2, "1")], ids=["1", "2", "2-PYTHONHASHSEED=1"]
 )
 def test_output_digests_pinned(release, tmp_path, jobs, hash_seed):
-    """In this process, and in a fresh interpreter under another hash seed:
-    every test and every forked worker shares this session's seed, so only a
-    fresh interpreter shows an output that depends on str hash order."""
     _, config, _, _ = release
-    out = tmp_path / "out"
+    assert run_all_digests(config, tmp_path / "out", jobs, hash_seed) == PINNED_DIGESTS
+
+
+def run_all_digests(config, out, jobs, hash_seed):
+    """SHA-256 of each run-all output, run in this process, or in a fresh
+    interpreter under ``hash_seed``: every test and every forked worker
+    shares this session's seed, so only a fresh interpreter shows an output
+    that depends on str hash order."""
     args = ["run-all", "--config", config, "--jobs", str(jobs), "--out", str(out)]
     if hash_seed is None:
         assert cli.main(args) == 0
@@ -326,8 +336,62 @@ def test_output_digests_pinned(release, tmp_path, jobs, hash_seed):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
         subprocess.run([sys.executable, "-m", "morphcomplex.cli", *args],
                        check=True, env=env, capture_output=True, timeout=300)
-    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_DIGESTS}
-    assert digests == PINNED_DIGESTS
+    return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_DIGESTS}
+
+
+# The release again, every sentence starting upper-case, at every setting that
+# is not a default: is counts Key=Value pairs, forms and lemmas are folded,
+# WALS rows are language means, and both exclusion rules remove measures.
+NON_DEFAULT_SETTINGS = (
+    "is_unit = pairs\nlowercase = true\nwals_rows = per-language\n"
+    "min_feature_keys = 4\nscript_exclude = tb3\n"
+)
+
+PINNED_NON_DEFAULT_DIGESTS = {
+    "measures.tsv": "8ae2d77c7b11252ab3dce964b0811b14430b2f74dc57d3071e717b8c6f6855c0",
+    "ia_params.json": "ec1c4a90bd30ca34de5826702f55cb6b5b595c88da81d6110b4ba759c2a46204",
+    "treebanks.tsv": "57d2e27ca20c43c65b1b5ade70e8311663aaa266737c61fac8dc3ed4ec2bdfaf",
+    "run_meta.json": "8ea6be9de127caf5ecd0a4e91ac0a13cd0d96c6380e86d1ed2a75700a7a6d617",
+    "correlations.tsv": "8014ea008826090bb604b881d3fd2ac8fa7cf183b12120c3fd5869bf6a52d5ed",
+    "pca.tsv": "dd546365d4f671ec53d5029de980cab42354310d1f57b84428aaefd58f5199e9",
+    "pca_scores.tsv": "f02cd9c1ea063b4d25ee16aa5e8d9ce8e51ab37e656d7fcd0f77d487aea421d6",
+    "ridge.tsv": "e362c14f2531df2a624cc8090f7e3be1d3655f4f0315db6a681aae62293bfd30",
+    "analyze_meta.json": "6ddc2e709d946d21092894b81f162db170b340b3573f957e57ae81ba4e3c9925",
+    "measures.svg": "2bc087561e395e1d0c1b8139146454480a5a12b0def405674bd89ce78a409d3e",
+    "pca.svg": "8b68a47008a017f19e7883fd1503c7971a0e44597e46850f7aef28e0d9051b4f",
+    "wals_error.svg": "ff7f3489032b558a85a652805c3b4ed4cf40cef686aeddef629388ada7c6e087",
+}
+
+
+@pytest.fixture(scope="module")
+def non_default_release(tmp_path_factory):
+    root = tmp_path_factory.mktemp("non_default_release")
+    return root, write_release(root, NON_DEFAULT_SETTINGS, capitalize=True)
+
+
+def test_non_default_release_folds_and_excludes(non_default_release):
+    root, config = non_default_release
+    text = (root / "tb1.conllu").read_text(encoding="utf-8")
+    assert len(parse_conllu(text, "tb1", lowercase=True).forms) < len(parse_conllu(text, "tb1").forms)
+    out = root / "out"
+    assert cli.main(["run-all", "--config", config]) == 0
+    assert json.loads((out / "analyze_meta.json").read_text(encoding="utf-8"))["errors"] == {}
+    _, _, rows = pipeline._read_tsv(str(out / "treebanks.tsv"))
+    assert {row[0]: row[6] for row in rows if row[6] != "-"} == {
+        "tb0": "no-morph-features:is+mfh+neg_ia",
+        "tb3": "non-alphabetic-script:ws",
+        "tb4": "no-morph-features:is+mfh+neg_ia",
+        "tb8": "no-morph-features:is+mfh+neg_ia",
+    }
+
+
+@pytest.mark.parametrize(
+    "jobs, hash_seed", [(1, None), (2, None), (2, "1")], ids=["1", "2", "2-PYTHONHASHSEED=1"]
+)
+def test_non_default_digests_pinned(non_default_release, tmp_path, jobs, hash_seed):
+    _, config = non_default_release
+    digests = run_all_digests(config, tmp_path / "out", jobs, hash_seed)
+    assert digests == PINNED_NON_DEFAULT_DIGESTS
 
 
 def test_no_step_hyperparameter_in_outputs(release):
