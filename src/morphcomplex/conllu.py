@@ -2,7 +2,8 @@
 
 Only the columns needed for morphological statistics are kept: FORM,
 LEMMA and FEATS, each interned into a table of distinct values with one
-``int32`` ID per token.  UPOS and the dependency columns are dropped.
+``int32`` ID per token, a FEATS cell as its canonical text (see
+``_parse_feats``).  UPOS and the dependency columns are dropped.
 Files are streamed line by line, never held whole, in text mode.  Only
 when a file is not valid UTF-8 is it parsed again from the start, decoding
 each line on its own, so the error names the first faulty line: a
@@ -18,9 +19,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Column "_" (no annotation) is stored as the empty string.  Measures that
-# need a lemma skip tokens whose lemma is empty; form-only measures count
-# every token.
+# Column "_" (no annotation) is stored as the empty string, in FORM, LEMMA
+# and FEATS alike.  Measures that need a lemma skip tokens whose lemma is
+# empty; form-only measures count every token.
 EMPTY_MARKER = ""
 
 _N_COLUMNS = 10
@@ -39,16 +40,16 @@ class Treebank:
     """Basic-node tokens as parallel ID arrays over interned tables.
 
     Token ``i`` has form ``forms[form_ids[i]]``, lemma ``lemmas[lemma_ids[i]]``
-    and sorted Key=Value pairs ``bundles[bundle_ids[i]]``.  Lemma ID 0 is the
-    empty marker and bundle ID 0 the empty bundle, so ``!= 0`` tests for an
-    annotation.  ``sentences`` holds each sentence's first token index.
-    Tables are in first-occurrence order, so equal input gives equal IDs.
+    and canonical FEATS text ``bundles[bundle_ids[i]]``.  In both of those
+    tables ID 0 is the empty marker, so ``!= 0`` tests for an annotation.
+    ``sentences`` holds each sentence's first token index.  Tables are in
+    first-occurrence order, so equal input gives equal IDs.
     """
 
     id: str
     forms: tuple[str, ...]
     lemmas: tuple[str, ...]
-    bundles: tuple[tuple[tuple[str, str], ...], ...]
+    bundles: tuple[str, ...]
     form_ids: np.ndarray
     lemma_ids: np.ndarray
     bundle_ids: np.ndarray
@@ -89,12 +90,14 @@ class Treebank:
 
     @property
     def n_feature_keys(self) -> int:
-        return len({key for bundle in self.bundles for key, _ in bundle})
+        return len({pair.partition("=")[0] for b in self.bundles[1:] for pair in b.split("|")})
 
 
-def _parse_feats(cell: str, line_no: int) -> tuple[tuple[str, str], ...]:
+def _parse_feats(cell: str, line_no: int) -> str:
+    """``cell``'s Key=Value pairs sorted on the key (which ends at the first
+    ``=``) and joined by ``|``, so any order gives one text; ``_`` gives ""."""
     if cell == "_":
-        return ()
+        return EMPTY_MARKER
     pairs: dict[str, str] = {}
     for item in cell.split("|"):
         key, sep, value = item.partition("=")
@@ -103,7 +106,7 @@ def _parse_feats(cell: str, line_no: int) -> tuple[tuple[str, str], ...]:
         if key in pairs and pairs[key] != value:
             raise ConlluParseError(f"conflicting values for feature {key!r}", line_no)
         pairs[key] = value
-    return tuple(sorted(pairs.items()))
+    return "|".join(f"{k}={v}" for k, v in sorted(pairs.items()))
 
 
 def parse_conllu(text: str, id: str, lowercase: bool = False) -> Treebank:
@@ -142,7 +145,7 @@ def _decode_lines(lines: Iterable[bytes]) -> Iterator[str]:
 def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
     forms: dict[str, int] = {}
     lemmas: dict[str, int] = {EMPTY_MARKER: 0}
-    bundles: dict[tuple[tuple[str, str], ...], int] = {(): 0}
+    bundles: dict[str, int] = {EMPTY_MARKER: 0}
     cells: dict[str, int] = {}  # FEATS cell -> bundle ID: each distinct cell is parsed once
     form_ids, lemma_ids, bundle_ids, boundaries = [], [], [], [0]
     for line_no, line in enumerate(lines, start=1):

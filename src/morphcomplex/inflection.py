@@ -19,16 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .sampling import Sample
-
-
-def canonical_bundle(feats: Iterable[tuple[str, str]]) -> str:
-    """Order-insensitive Key=Value bundle string."""
-    return "|".join(f"{k}={v}" for k, v in sorted(feats))
 
 
 @dataclass(frozen=True)
@@ -49,9 +44,8 @@ def extract_instances(sample: Sample) -> list[InflectionInstance]:
     keep = np.flatnonzero((lemma != 0) & (bundle != 0) & (tb.form_lengths[form] > 0))
     codes = (lemma[keep] * len(tb.bundles) + bundle[keep]) * len(tb.forms) + form[keep]
     first = keep[np.sort(np.unique(codes, return_index=True)[1])]
-    names = [canonical_bundle(pairs) for pairs in tb.bundles]
     return [
-        InflectionInstance(tb.lemmas[l], names[b], tb.forms[f])
+        InflectionInstance(tb.lemmas[l], tb.bundles[b], tb.forms[f])
         for l, b, f in zip(lemma[first].tolist(), bundle[first].tolist(), form[first].tolist())
     ]
 

@@ -124,11 +124,11 @@ def inflectional_synthesis(sample: Sample, count_values: bool = False) -> float 
     by_lemma = keep[np.argsort(lemmas[keep])]  # tokens with features, grouped by lemma
     table = sample.treebank.bundles
     used, row = np.unique(bundles[by_lemma], return_inverse=True)
-    owner = [r for r, b in enumerate(used.tolist()) for _ in table[b]]
-    units = [f"{k}={v}" if count_values else k for b in used.tolist() for k, v in table[b]]
+    pairs = [(r, pair) for r, b in enumerate(used.tolist()) for pair in table[b].split("|")]
+    units = [pair if count_values else pair.partition("=")[0] for _, pair in pairs]
     names, col = np.unique(units, return_inverse=True)
     matrix = np.zeros((len(used), len(names)), dtype=bool)  # used bundle x unit
-    matrix[owner, col] = True
+    matrix[[r for r, _ in pairs], col] = True
     starts = np.flatnonzero(np.diff(lemmas[by_lemma], prepend=-1))
     per_lemma = np.logical_or.reduceat(matrix[row], starts)
     return float(per_lemma.sum(axis=1).max())
@@ -138,13 +138,14 @@ def feature_entropy(sample: Sample) -> float | None:
     """Entropy of the token-level Key=Value pair distribution (mfh).
 
     Each pair counts once per token carrying it, so frequent inflections
-    weigh more than rare ones.
+    weigh more than rare ones.  As for ``is``, only tokens that carry a
+    lemma count.
     """
     _, _, bundles = _lemmatized(sample)
     per_bundle = np.bincount(bundles[bundles != 0])
-    counts: dict[tuple[str, str], int] = {}
+    counts: dict[str, int] = {}
     for b in np.flatnonzero(per_bundle).tolist():
-        for pair in sample.treebank.bundles[b]:
+        for pair in sample.treebank.bundles[b].split("|"):
             counts[pair] = counts.get(pair, 0) + int(per_bundle[b])
     return plugin_entropy(list(counts.values())) if counts else None
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from morphcomplex.conllu import EMPTY_MARKER, ConlluParseError
-from morphcomplex.inflection import InflectionInstance, canonical_bundle
+from morphcomplex.inflection import InflectionInstance
 
 log = logging.getLogger("morphcomplex.measures")
 
@@ -398,6 +398,7 @@ def extract_instances(sample: Sample) -> list[InflectionInstance]:
     for tok in sample.tokens():
         if not tok.lemma or not tok.form or not tok.feats:
             continue
-        inst = InflectionInstance(tok.lemma, canonical_bundle(tok.feats), tok.form)
+        bundle = "|".join(f"{k}={v}" for k, v in sorted(tok.feats))
+        inst = InflectionInstance(tok.lemma, bundle, tok.form)
         seen.setdefault(inst, None)
     return list(seen)

@@ -34,9 +34,11 @@ def sample_forms(sample: Sample) -> list[str]:
 
 
 def treebank_tokens(tb: Treebank) -> list[list[Token]]:
-    """``tb`` as one token list per sentence; UPOS, which is not kept, reads "X"."""
+    """``tb`` as one token list per sentence; UPOS, which is not kept, reads "X".
+    Each bundle's text is split back into (key, value) pairs at the first "="."""
+    pairs = [tuple(tuple(p.split("=", 1)) for p in b.split("|")) if b else () for b in tb.bundles]
     tokens = [
-        Token(tb.forms[f], tb.lemmas[l], "X", tb.bundles[b])
+        Token(tb.forms[f], tb.lemmas[l], "X", pairs[b])
         for f, l, b in zip(tb.form_ids.tolist(), tb.lemma_ids.tolist(), tb.bundle_ids.tolist())
     ]
     bounds = tb.sentences.tolist() + [tb.n_tokens]

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphcomplex.conllu import (
+    EMPTY_MARKER,
     ConlluParseError,
+    _parse_feats,
     parse_conllu,
     parse_conllu_file,
     read_manifest,
@@ -235,6 +237,51 @@ class TestFile:
         path.write_bytes(data)
         with pytest.raises(ConlluParseError, match=f"^{re.escape(message)}$"):
             parse_conllu_file(str(path), "x")
+
+
+def one_token(feats):
+    return token_line(1, "a", "a", feats=feats) + "\n"
+
+
+class TestCanonicalBundle:
+    """A FEATS cell is interned as its Key=Value pairs sorted on the key."""
+
+    def test_order_insensitive(self):
+        text = one_token("Number=Sing|Case=Nom") + "\n" + one_token("Case=Nom|Number=Sing")
+        tb = parse_conllu(text, "x")
+        assert tb.bundle_ids.tolist() == [1, 1]
+        assert tb.bundles == (EMPTY_MARKER, "Case=Nom|Number=Sing")
+
+    def test_underscore_is_bundle_zero(self):
+        tb = parse_conllu(one_token("Case=Nom") + "\n" + one_token("_"), "x")
+        assert tb.bundle_ids.tolist() == [1, 0]
+        assert tb.bundles[0] == EMPTY_MARKER == ""
+
+    def test_key_prefix_sorts_first(self):
+        # As text "A-B=y" sorts before "A=x", since "-" < "=".
+        tb = parse_conllu(one_token("A-B=y|A=x"), "x")
+        assert tb.bundles[1] == "A=x|A-B=y"
+        assert tb.n_feature_keys == 2
+
+    def test_value_with_equals_sign_keeps_its_key(self):
+        tb = parse_conllu(one_token("B=d|A=b=c"), "x")
+        assert tb.bundles[1] == "A=b=c|B=d"
+        assert treebank_tokens(tb)[0][0].feats == (("A", "b=c"), ("B", "d"))
+        assert tb.n_feature_keys == 2
+
+    @given(
+        pairs=st.dictionaries(
+            st.text("AB-[]", min_size=1, max_size=3), st.text("ab=", min_size=1, max_size=3),
+            min_size=1, max_size=5,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_text_is_a_fixed_point(self, pairs, data):
+        order = data.draw(st.permutations(list(pairs.items())))
+        text = _parse_feats("|".join(f"{k}={v}" for k, v in order), 1)
+        assert _parse_feats(text, 1) == text
+        assert text == "|".join(f"{k}={v}" for k, v in sorted(pairs.items()))
 
 
 @st.composite

@@ -14,7 +14,6 @@ from morphcomplex.inflection import (
     InflectionInstance,
     _gram,
     _scores,
-    canonical_bundle,
     cross_validate,
     derive_edit_script,
     extract_instances,
@@ -45,13 +44,6 @@ def apply_clamped(script: EditScript, lemma: str) -> str:
     pd = min(script.prefix_drop, len(lemma))
     sd = min(script.suffix_drop, len(lemma) - pd)
     return script.prefix_add + lemma[pd : len(lemma) - sd] + script.suffix_add
-
-
-class TestCanonicalBundle:
-    def test_order_insensitive(self):
-        a = canonical_bundle([("Number", "Sing"), ("Case", "Nom")])
-        b = canonical_bundle([("Case", "Nom"), ("Number", "Sing")])
-        assert a == b == "Case=Nom|Number=Sing"
 
 
 class TestExtractInstances:

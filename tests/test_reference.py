@@ -37,6 +37,27 @@ def random_conllu(seed: int, n_sentences: int = 400) -> str:
     return "\n".join(lines) + "\n"
 
 
+# FEATS cells whose canonical text rests on the key sort: the same pairs in two
+# orders, a key that is a prefix of another, and values that hold "=".
+BUNDLE_CELLS = (
+    "Number=Sing|Case=Nom", "Case=Nom|Number=Sing", "A-B=y|A=x", "A=x|A-B=y", "A=b=c|B=d",
+    "B=d|A=b", "A==|A-B=y", "_",
+)
+
+
+def bundle_conllu(seed: int) -> str:
+    """CoNLL-U over ``BUNDLE_CELLS``, with some lemmaless tokens."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(80):
+        for i in range(1, 6):
+            lemma = "_" if rng.random() < 0.1 else f"l{rng.integers(8)}"
+            cell = BUNDLE_CELLS[rng.integers(len(BUNDLE_CELLS))]
+            lines.append(f"{i}\tf{rng.integers(20)}\t{lemma}\tX\t_\t{cell}\t0\tdep\t_\t_")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
 def both(text: str):
     return parse_conllu(text, "tb"), ref.parse_conllu(text, "tb", "xx")
 
@@ -48,9 +69,13 @@ def drawn_indices(ref_tb, sample):
     return [index[id(s.tokens[0])] for s in sample.sentences]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parser_matches_reference(seed):
-    tb, ref_tb = both(random_conllu(seed))
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(random_conllu(s), id=str(s)) for s in (0, 1, 2)]
+    + [pytest.param(bundle_conllu(0), id="bundles")],
+)
+def test_parser_matches_reference(text):
+    tb, ref_tb = both(text)
     expected = [[(t.form, t.lemma, t.feats) for t in s.tokens] for s in ref_tb.sentences]
     assert [[(t.form, t.lemma, t.feats) for t in s] for s in treebank_tokens(tb)] == expected
     assert (tb.n_tokens, tb.n_feature_keys) == (ref_tb.n_tokens, ref_tb.n_feature_keys)
@@ -100,10 +125,14 @@ CLOSE = [
 ]
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_measures_and_instances_match_reference(seed):
-    tb, ref_tb = both(random_conllu(seed))
-    for rep, target in enumerate([1, 40, 800, 4000]):
+@pytest.mark.parametrize(
+    "seed, text, targets",
+    [pytest.param(s, random_conllu(s), [1, 40, 800, 4000], id=str(s)) for s in (5, 6)]
+    + [pytest.param(s, bundle_conllu(s), [3, 30, 400], id=f"bundles-{s}") for s in (0, 1)],
+)
+def test_measures_and_instances_match_reference(seed, text, targets):
+    tb, ref_tb = both(text)
+    for rep, target in enumerate(targets):
         sample = bootstrap_sample(tb, target, sample_rng(seed, "tb", rep))
         ref_sample = ref.bootstrap_sample(ref_tb, target, sample_rng(seed, "tb", rep))
         for name, new, old in EXACT:
