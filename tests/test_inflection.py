@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from morphcomplex.inflection import (
     EditScript,
     Hyperparams,
+    IAResult,
     InflectionInstance,
     _gram,
     _scores,
@@ -603,7 +604,57 @@ class TestPredictBatch:
         self.check(model, instances, self.QUERIES)
 
 
+# cross_validate(irregular_toy_instances(60, seed), 20, default_rng(seed)) per seed.
+PINNED_TWENTY_DRAWS = {
+    0: IAResult((0.8333333333333334, 0.9, 0.85), 0.8611111111111112, Hyperparams(1, 8)),
+    1: IAResult((0.85, 0.8166666666666667, 0.9), 0.8555555555555555, Hyperparams(2, 20)),
+    2: IAResult(
+        (0.8666666666666667, 0.8666666666666667, 0.8833333333333333), 0.8722222222222222,
+        Hyperparams(3, 12),
+    ),
+}
+
+
+def replay_cross_validate(instances, n_draws, rng):
+    """``cross_validate`` one draw at a time, each training alone on Gram
+    blocks of its own.  From ``root``, the first integer ``rng`` draws, the
+    fold order comes from ``[root, 1]``, draw d's hyperparameters from
+    ``[root, 2, d]`` and its shuffles on fold f from ``[root, 3, d, f]``."""
+    root = int(rng.integers(0, 2**63))
+    order = np.random.default_rng([root, 1]).permutation(len(instances))
+    folds = [order[f::3] for f in range(3)]
+    best = None
+    for d in range(n_draws):
+        draw = np.random.default_rng([root, 2, d])
+        params = Hyperparams(int(draw.integers(1, 5)), int(draw.integers(5, 31)))
+        accuracies = []
+        for f, test in enumerate(folds):
+            train_set = [instances[i] for i in np.concatenate(folds[:f] + folds[f + 1 :])]
+            test_set = [instances[i] for i in test]
+            rows = [(i.lemma, i.feature_bundle) for i in train_set]
+            k = params.ngram_order
+            model = train(
+                train_set, params, np.random.default_rng([root, 3, d, f]), gram=_gram(rows, rows, k)
+            )
+            test_gram = _gram(rows, [(i.lemma, i.feature_bundle) for i in test_set], k)
+            predicted = predict_batch(model, [i.lemma for i in test_set], test_gram)
+            accuracies.append(sum(p == i.form for p, i in zip(predicted, test_set)) / len(test_set))
+        result = IAResult(tuple(accuracies), float(np.mean(accuracies)), params)
+        if best is None or result.mean_accuracy > best.mean_accuracy:
+            best = result
+    return best
+
+
 class TestCrossValidate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_twenty_draws_pinned_and_replayed(self, seed):
+        """Many draws of several n-gram orders share each (order, fold) Gram
+        block, and give what each draw gives alone."""
+        instances = irregular_toy_instances(60, seed)
+        result = cross_validate(instances, 20, np.random.default_rng(seed))
+        assert result == replay_cross_validate(instances, 20, np.random.default_rng(seed))
+        assert result == PINNED_TWENTY_DRAWS[seed]
+
     def test_regular_toy_language_high_accuracy(self):
         instances = regular_toy_instances(50, seed=1)
         result = cross_validate(instances, 5, np.random.default_rng(1))
