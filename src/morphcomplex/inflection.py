@@ -104,12 +104,11 @@ class Hyperparams:
 @dataclass
 class InflectionModel:
     """Edit-script classes and the perceptron in dual form (see ``train``):
-    a query scores its Gram row against the training ``rows`` times ``dual``."""
+    the caller gives each query's Gram column against the training
+    instances, which ``predict`` scores times ``dual``."""
 
     scripts: tuple[EditScript, ...]
-    rows: list[tuple[str, str]]  # (lemma, feature bundle) per training instance
     dual: np.ndarray  # int64, training instances x classes
-    params: Hyperparams
 
 
 # Instances scored per argmax; a mistake ends a block early.  Fastest size.
@@ -178,23 +177,24 @@ def train(
     params: Hyperparams,
     rng: np.random.Generator,
     *,
+    gram: np.ndarray,
     scripts: Sequence[EditScript] | None = None,
-    gram: np.ndarray | None = None,
 ) -> InflectionModel:
     """Averaged-perceptron training over edit-script classes, in dual form.
 
     A mistake at step t on instance j adds +-1 to the weights ``w`` and +-t
     to ``u`` on j's features; after T steps the summed weights ``T*w - u``
     are T times the averaged ones (Collins 2002).  The scores ``S = X @ w``
-    (classes x instances) then change by j's row of ``G = X @ X.T``
-    (``gram``, from ``_gram`` unless given): ``S[gold] += G[j]``,
-    ``S[pred] -= G[j]`` (Freund & Schapire 1999).  Each epoch takes the
-    argmax over blocks of its shuffled instances, applies the first mistake
-    and resumes after it, so each step sees the scores a step-by-step
-    learner would.  The integers are exact, so ties still go to the lowest
-    class index.  Finally ``T*w - u = X.T @ D``, where ``D[j]`` sums
-    ``(T - t) * (e_gold - e_pred)`` over j's mistakes: the model keeps ``D``
-    as ``dual`` and never builds the weights.  ``scripts`` may give the
+    (classes x instances) then change by j's row of the instances' Gram
+    matrix ``G = X @ X.T``, which the caller gives as ``gram`` (see
+    ``_gram``): ``S[gold] += G[j]``, ``S[pred] -= G[j]`` (Freund &
+    Schapire 1999).  Each epoch takes the argmax over blocks of its
+    shuffled instances, applies the first mistake and resumes after it,
+    so each step sees the scores a step-by-step learner would.  The
+    integers are exact, so ties still go to the lowest class index.
+    Finally ``T*w - u = X.T @ D``, where ``D[j]`` sums ``(T - t) *
+    (e_gold - e_pred)`` over j's mistakes: the model keeps ``D`` as
+    ``dual`` and never builds the weights.  ``scripts`` may give the
     instances' edit scripts.  The rng only shuffles instance order.  A
     single-class training set yields a model that always predicts that class.
     """
@@ -204,11 +204,9 @@ def train(
     classes = tuple(sorted(set(scripts)))
     class_index = {s: i for i, s in enumerate(classes)}
     labels = np.array([class_index[s] for s in scripts])
-    rows = [(i.lemma, i.feature_bundle) for i in instances]
     n = len(instances)
     mistakes: list[tuple[int, int, int, int]] = []  # (instance, gold, predicted, step)
     if len(classes) > 1:
-        gram = _gram(rows, rows, params.ngram_order) if gram is None else gram
         scores = np.zeros((len(classes), n), dtype=np.int64)
         for epoch in range(params.epochs):
             order = rng.permutation(n)
@@ -230,14 +228,14 @@ def train(
     left = params.epochs * n - t
     dual = np.zeros((n, len(classes)), dtype=np.int64)
     np.add.at(dual, (np.r_[j, j], np.r_[g, c]), np.r_[left, -left])
-    return InflectionModel(classes, rows, dual, params)
+    return InflectionModel(classes, dual)
 
 
-def predict_batch(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarray) -> list[str]:
-    """Apply to each lemma, given the Gram block of ``model.rows`` against
-    the lemmas' instances (training instances x lemmas), the best-scoring
-    edit script whose drops fit it.  If none fits, the top one is applied
-    anyway, its drops clamped.
+def predict(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarray) -> list[str]:
+    """Apply to each lemma, given the Gram block of the training instances
+    against the lemmas' instances (training instances x lemmas), the
+    best-scoring edit script whose drops fit it.  If none fits, the top one
+    is applied anyway, its drops clamped.
     """
     scores = _scores(gram, model.dual)
     drops = np.array([s.prefix_drop + s.suffix_drop for s in model.scripts])
@@ -248,12 +246,6 @@ def predict_batch(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarra
         model.scripts[b if ok else t].apply(lemma)
         for lemma, b, t, ok in zip(lemmas, best.tolist(), top.tolist(), fits.any(axis=1))
     ]
-
-
-def predict(model: InflectionModel, lemma: str, feature_bundle: str) -> str:
-    """``predict_batch`` for one lemma and feature bundle."""
-    gram = _gram(model.rows, [(lemma, feature_bundle)], model.params.ngram_order)
-    return predict_batch(model, [lemma], gram)[0]
 
 
 class IASearchConfig:
@@ -279,8 +271,12 @@ def cross_validate(
     Instances are shuffled once and split into folds round-robin; every
     draw is evaluated on the same folds with its own derived generator, so
     draws are run grouped by n-gram order and fold without changing the
-    result.  Each (order, fold) computes one Gram block of its training rows
-    against training and test rows for all its draws.  Ties go to the earlier draw.
+    result.  From ``root``, the first integer ``rng`` draws, the fold order
+    comes from ``default_rng([root, 1])``, draw d's hyperparameters from
+    ``[root, 2, d]`` and its training order on fold f from ``[root, 3, d, f]``;
+    a fold trains on the other folds in fold order.  Each (order, fold)
+    computes one Gram block of its training rows against training and test
+    rows for all its draws.  Ties go to the earlier draw.
     """
     n_folds = IASearchConfig.n_folds
     if len(instances) < n_folds:
@@ -306,7 +302,7 @@ def cross_validate(
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 rng_draw = np.random.default_rng([root, 3, draw, f])
                 model = train(train_set, draws[draw], rng_draw, scripts=train_scripts, gram=train_gram)
-                predicted = predict_batch(model, [i.lemma for i in test_set], test_gram)
+                predicted = predict(model, [i.lemma for i in test_set], test_gram)
                 correct = sum(p == i.form for p, i in zip(predicted, test_set))
                 fold_acc[draw][f] = correct / len(test_set)
     means = [float(np.mean(acc)) for acc in fold_acc]

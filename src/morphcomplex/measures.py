@@ -150,23 +150,17 @@ def feature_entropy(sample: Sample) -> float | None:
     return plugin_entropy(list(counts.values())) if counts else None
 
 
-def char_unigram_model(sample: Sample) -> tuple[tuple[str, ...], np.ndarray]:
-    """The characters of the sample's forms and their token-weighted
-    probabilities, delimiters excluded."""
-    tb = sample.treebank
-    counts = np.bincount(tb.form_ids[sample.tokens], minlength=len(tb.forms))
-    return _char_model(tb, np.flatnonzero(counts), counts)
-
-
-def _char_model(
+def char_unigram_model(
     tb: Treebank, types: np.ndarray, counts: np.ndarray
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The model of a sample with form-table ``counts``, nonzero at ``types``."""
+    """The characters of the forms ``types`` of ``tb``, where form
+    ``types[k]`` has ``counts[k]`` tokens, and their token-weighted
+    probabilities, delimiters excluded."""
     alphabet, char_ids, offsets = tb.form_chars
     lengths = tb.form_lengths[types]
     ends = np.cumsum(lengths)
     at = np.repeat(offsets[types] - (ends - lengths), lengths) + np.arange(ends[-1])
-    weights = np.repeat(counts[types], lengths)
+    weights = np.repeat(counts, lengths)
     char_counts = np.bincount(char_ids[at], weights=weights, minlength=len(alphabet))
     keep = (char_counts > 0) & ~np.isin(alphabet, _DELIMITER_CODES)
     if not keep.any():
@@ -215,11 +209,12 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
     """
     tb = sample.treebank
     ids = tb.form_ids[sample.tokens]
-    counts = np.bincount(ids, minlength=len(tb.forms))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    _, first, inverse, counts = np.unique(
+        ids, return_index=True, return_inverse=True, return_counts=True
+    )
     order = np.argsort(first)
     types = ids[first[order]]  # word types in first-occurrence order
-    chars, probabilities = _char_model(tb, types, counts)
+    chars, probabilities = char_unigram_model(tb, types, counts[order])
     codes = np.array([ord(c) for c in chars], dtype=np.uint32)
     lengths = tb.form_lengths[types]
     replacement = [""] * len(types)

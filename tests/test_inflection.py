@@ -20,7 +20,6 @@ from morphcomplex.inflection import (
     extract_instances,
     featurize,
     predict,
-    predict_batch,
     train,
 )
 
@@ -199,12 +198,27 @@ class TestFeaturize:
         assert len(feats) == 1 + 2 * 2 + 2
 
 
-def toy_model(n_lemmas=30, seed=0, **params):
+def rows_of(instances):
+    """The (lemma, feature bundle) row of each instance."""
+    return [(i.lemma, i.feature_bundle) for i in instances]
+
+
+def fit(instances, params, rng, **kwargs):
+    """``train`` on the instances' own Gram matrix."""
+    rows = rows_of(instances)
+    return train(instances, params, rng, gram=_gram(rows, rows, params.ngram_order), **kwargs)
+
+
+def predict_one(model, instances, ngram_order, lemma, feature_bundle):
+    """``predict`` for one query from its Gram column against the training instances."""
+    gram = _gram(rows_of(instances), [(lemma, feature_bundle)], ngram_order)
+    return predict(model, [lemma], gram)[0]
+
+
+def toy_model(n_lemmas=30, seed=0):
+    """Regular toy instances and a model of them at n-gram order 3."""
     instances = regular_toy_instances(n_lemmas, seed=seed)
-    hp = Hyperparams(ngram_order=params.get("ngram_order", 3),
-                     epochs=params.get("epochs", 10))
-    model = train(instances, hp, np.random.default_rng(seed))
-    return instances, model
+    return instances, fit(instances, Hyperparams(3, 10), np.random.default_rng(seed))
 
 
 class TestTrainPredict:
@@ -212,28 +226,28 @@ class TestTrainPredict:
         instances, model = toy_model()
         correct = sum(
             1 for inst in instances
-            if predict(model, inst.lemma, inst.feature_bundle) == inst.form
+            if predict_one(model, instances, 3, inst.lemma, inst.feature_bundle) == inst.form
         )
         assert correct == len(instances)
 
     def test_toy_plural(self):
-        _, model = toy_model()
-        assert predict(model, "dog", "Number=Plur") == "dogs"
-        assert predict(model, "dog", "Tense=Past") == "doged"
+        instances, model = toy_model()
+        assert predict_one(model, instances, 3, "dog", "Number=Plur") == "dogs"
+        assert predict_one(model, instances, 3, "dog", "Tense=Past") == "doged"
 
     def test_single_class_degenerate_model(self):
         instances = [
             InflectionInstance("aa", "X=1", "aa"),
             InflectionInstance("bb", "X=2", "bb"),
         ]
-        model = train(instances, Hyperparams(2, 3), np.random.default_rng(0))
+        model = fit(instances, Hyperparams(2, 3), np.random.default_rng(0))
         assert len(model.scripts) == 1
-        assert predict(model, "zz", "X=1") == "zz"
+        assert predict_one(model, instances, 2, "zz", "X=1") == "zz"
 
     def test_identical_inputs_identical_weights(self):
         _, m1 = toy_model(seed=4)
         _, m2 = toy_model(seed=4)
-        assert m1.rows == m2.rows
+        assert m1.scripts == m2.scripts
         assert np.array_equal(m1.dual, m2.dual)
 
     def test_unfitting_scripts_skipped_in_ranking(self):
@@ -242,15 +256,15 @@ class TestTrainPredict:
             InflectionInstance("abcdef", "X=1", "zzzzzz"),
             InflectionInstance("ab", "X=2", "abs"),
         ]
-        model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
-        out = predict(model, "xy", "X=1")
+        model = fit(instances, Hyperparams(2, 5), np.random.default_rng(0))
+        out = predict_one(model, instances, 2, "xy", "X=1")
         # EditScript(6, "zzzzzz", 0, "") does not fit a 2-char lemma
         assert out in ("xys", "zzzzzz")
         assert out == "xys"
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            train([], Hyperparams(1, 1), np.random.default_rng(0))
+            train([], Hyperparams(1, 1), np.random.default_rng(0), gram=np.zeros((0, 0), np.uint8))
 
 
 # Reference: the dict-of-dicts averaged perceptron with per-cell time stamps
@@ -388,12 +402,12 @@ class TestMatchesReferenceLearner:
 
 
 def assert_matches_reference(instances, params, seed):
-    model = train(instances, params, np.random.default_rng(seed))
+    model = fit(instances, params, np.random.default_rng(seed))
     classes, averaged, steps = reference_train(
         instances, params.ngram_order, params.epochs, 1.0, np.random.default_rng(seed)
     )
     assert model.scripts == classes
-    [x], ids = dense(params.ngram_order, [(i.lemma, i.feature_bundle) for i in instances])
+    [x], ids = dense(params.ngram_order, rows_of(instances))
     weights = x.T @ model.dual
     expected = np.zeros(weights.shape)
     for f, row in averaged.items():
@@ -403,11 +417,12 @@ def assert_matches_reference(instances, params, seed):
         assert np.array_equal(weights / steps, expected)
     else:
         assert len(classes) == 1 and not model.dual.any()
-    queries = [(i.lemma, i.feature_bundle) for i in instances]
+    queries = rows_of(instances)
     queries += [("zebra", b) for b in ("Number=Plur", "Tense=Past", "X=1", "Y=2")]
+    k = params.ngram_order
     for lemma, bundle in queries:
-        assert predict(model, lemma, bundle) == reference_predict(
-            classes, averaged, params.ngram_order, lemma, bundle
+        assert predict_one(model, instances, k, lemma, bundle) == reference_predict(
+            classes, averaged, k, lemma, bundle
         )
     return model
 
@@ -545,24 +560,22 @@ class TestExactProducts:
         assert np.array_equal(_scores(_gram(train_rows, test_rows, 3), d), expected)
 
     def test_given_gram_and_scripts_match_own(self):
-        """A model given its Gram matrix and edit scripts, as ``cross_validate``
-        gives them, is the one ``train`` builds alone, and its batched
-        predictions on a test block are the one-row ones."""
+        """A model given its edit scripts, as ``cross_validate`` gives them,
+        is the one ``train`` derives them for, and its predictions on a test
+        block are the one-column ones."""
         instances = irregular_toy_instances(40, seed=5)
         params = Hyperparams(3, 6)
         train_set, test_set = instances[::3], [i for k, i in enumerate(instances) if k % 3]
-        rows = [(i.lemma, i.feature_bundle) for i in train_set]
-        own = train(train_set, params, np.random.default_rng(1))
-        given_ = train(
+        own = fit(train_set, params, np.random.default_rng(1))
+        given_ = fit(
             train_set, params, np.random.default_rng(1),
             scripts=[derive_edit_script(i.lemma, i.form) for i in train_set],
-            gram=_gram(rows, rows, 3),
         )
-        assert own.scripts == given_.scripts and own.rows == given_.rows == rows
+        assert own.scripts == given_.scripts
         assert np.array_equal(own.dual, given_.dual)
-        test_gram = _gram(rows, [(i.lemma, i.feature_bundle) for i in test_set], 3)
-        assert predict_batch(given_, [i.lemma for i in test_set], test_gram) == [
-            predict(own, i.lemma, i.feature_bundle) for i in test_set
+        test_gram = _gram(rows_of(train_set), rows_of(test_set), 3)
+        assert predict(given_, [i.lemma for i in test_set], test_gram) == [
+            predict_one(own, train_set, 3, i.lemma, i.feature_bundle) for i in test_set
         ]
 
 
@@ -577,19 +590,20 @@ class TestPredictBatch:
     ]
 
     @staticmethod
-    def check(model, instances, queries):
+    def check(model, instances, ngram_order, queries):
         """Scores ``queries`` with a Gram block from the training instances' features."""
-        rows = [(i.lemma, i.feature_bundle) for i in instances]
-        [x_train, x_queries], _ = dense(model.params.ngram_order, rows, queries)
+        [x_train, x_queries], _ = dense(ngram_order, rows_of(instances), queries)
         gram = x_train @ x_queries.T
         lemmas = [lemma for lemma, _ in queries]
-        assert predict_batch(model, lemmas, gram) == [predict(model, *q) for q in queries]
+        assert predict(model, lemmas, gram) == [
+            predict_one(model, instances, ngram_order, *q) for q in queries
+        ]
 
     def test_held_out_queries(self):
         instances = irregular_toy_instances(80, seed=3)
-        model = train(instances, Hyperparams(4, 6), np.random.default_rng(2))
-        queries = self.QUERIES + [(i.lemma, i.feature_bundle) for i in instances[::7]]
-        self.check(model, instances, queries)
+        model = fit(instances, Hyperparams(4, 6), np.random.default_rng(2))
+        queries = self.QUERIES + rows_of(instances[::7])
+        self.check(model, instances, 4, queries)
 
     def test_clamped_when_no_script_fits(self):
         # Upper-case forms share no substring with their lemmas, so every
@@ -598,10 +612,11 @@ class TestPredictBatch:
             InflectionInstance(i.lemma, i.feature_bundle, i.lemma.upper() + i.feature_bundle[0])
             for i in regular_toy_instances(20, seed=4)
         ]
-        model = train(instances, Hyperparams(2, 5), np.random.default_rng(0))
+        model = fit(instances, Hyperparams(2, 5), np.random.default_rng(0))
         assert not any(fits(s, "q") for s in model.scripts)
-        assert predict(model, "q", "Tense=Past") in {apply_clamped(s, "q") for s in model.scripts}
-        self.check(model, instances, self.QUERIES)
+        predicted = predict_one(model, instances, 2, "q", "Tense=Past")
+        assert predicted in {apply_clamped(s, "q") for s in model.scripts}
+        self.check(model, instances, 2, self.QUERIES)
 
 
 # cross_validate(irregular_toy_instances(60, seed), 20, default_rng(seed)) per seed.
@@ -631,13 +646,9 @@ def replay_cross_validate(instances, n_draws, rng):
         for f, test in enumerate(folds):
             train_set = [instances[i] for i in np.concatenate(folds[:f] + folds[f + 1 :])]
             test_set = [instances[i] for i in test]
-            rows = [(i.lemma, i.feature_bundle) for i in train_set]
-            k = params.ngram_order
-            model = train(
-                train_set, params, np.random.default_rng([root, 3, d, f]), gram=_gram(rows, rows, k)
-            )
-            test_gram = _gram(rows, [(i.lemma, i.feature_bundle) for i in test_set], k)
-            predicted = predict_batch(model, [i.lemma for i in test_set], test_gram)
+            model = fit(train_set, params, np.random.default_rng([root, 3, d, f]))
+            test_gram = _gram(rows_of(train_set), rows_of(test_set), params.ngram_order)
+            predicted = predict(model, [i.lemma for i in test_set], test_gram)
             accuracies.append(sum(p == i.form for p, i in zip(predicted, test_set)) / len(test_set))
         result = IAResult(tuple(accuracies), float(np.mean(accuracies)), params)
         if best is None or result.mean_accuracy > best.mean_accuracy:
@@ -707,10 +718,10 @@ class TestCrossValidate:
             lemma = f"lem{i:02d}"
             train_set.append(InflectionInstance(lemma, "X=1", lemma + "s"))
             test_set.append(InflectionInstance(lemma, "X=1", lemma + "qq"))
-        model = train(train_set, Hyperparams(3, 8), rng)
+        model = fit(train_set, Hyperparams(3, 8), rng)
         replay_hits = 0
         for inst in test_set:
-            predicted = predict(model, inst.lemma, inst.feature_bundle)
+            predicted = predict_one(model, train_set, 3, inst.lemma, inst.feature_bundle)
             applied = {
                 apply_exact(s, inst.lemma) for s in model.scripts if fits(s, inst.lemma)
             } | {apply_clamped(s, inst.lemma) for s in model.scripts}

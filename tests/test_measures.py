@@ -247,19 +247,25 @@ def test_sentence_permutation_leaves_bag_measures_unchanged(permutation_seed):
         assert fn(sample) == pytest.approx(fn(shuffled), abs=1e-12), name
 
 
+def sample_char_model(sample):
+    """The character model of the sample's word types and their token counts."""
+    types, counts = np.unique(sample.treebank.form_ids[sample.tokens], return_counts=True)
+    return char_unigram_model(sample.treebank, types, counts)
+
+
 class TestCharUnigramModel:
     def test_probabilities_sum_to_one(self):
-        _, probabilities = char_unigram_model(words("aab", "bc"))
+        _, probabilities = sample_char_model(words("aab", "bc"))
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_token_weighted_counts(self):
-        probs = dict(zip(*char_unigram_model(words("ab", "ab", "cd"))))
+        probs = dict(zip(*sample_char_model(words("ab", "ab", "cd"))))
         assert probs["a"] == pytest.approx(2 / 6)
         assert probs["c"] == pytest.approx(1 / 6)
 
     def test_delimiters_excluded(self):
         sample = make_sample([[make_token("a b")]])  # rare space-in-form token
-        chars, _ = char_unigram_model(sample)
+        chars, _ = sample_char_model(sample)
         assert " " not in chars
 
 

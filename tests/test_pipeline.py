@@ -336,6 +336,10 @@ def run_all_digests(config, out, jobs, hash_seed):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
         subprocess.run([sys.executable, "-m", "morphcomplex.cli", *args],
                        check=True, env=env, capture_output=True, timeout=300)
+    return output_digests(out)
+
+
+def output_digests(out):
     return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_DIGESTS}
 
 
@@ -830,7 +834,8 @@ def test_invalid_override_exits_1(tmp_path, caplog):
 
 def test_tracer_wraps_every_layer(release, tmp_path):
     """The benchmark's tracer replaces functions by name in ``pipeline``,
-    ``wals`` and the other modules; a renamed one loses its span."""
+    ``wals`` and the other modules; a renamed one loses its span.  Tracing
+    changes no output."""
     _, config, _, _ = release
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(repo, "src")}
@@ -846,6 +851,8 @@ def test_tracer_wraps_every_layer(release, tmp_path):
     assert trace["status"] == 0
     assert {span[0] for span in trace["spans"]} >= {
         "conllu.parse", "sampling.repetitions", "inflection.cross_validate",
+        "inflection.train", "inflection.predict",
         "analysis.correlation", "analysis.pca", "analysis.standardize", "analysis.ridge",
         "wals.load", "wals.encode", "svgplot",
     }
+    assert output_digests(tmp_path / "out") == PINNED_DIGESTS

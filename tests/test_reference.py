@@ -159,7 +159,8 @@ def test_char_model_matches_reference_exactly():
     tb, ref_tb = both(random_conllu(7))
     sample = bootstrap_sample(tb, 2000, np.random.default_rng(1))
     ref_sample = ref.bootstrap_sample(ref_tb, 2000, np.random.default_rng(1))
-    chars, probabilities = measures.char_unigram_model(sample)
+    types, counts = np.unique(tb.form_ids[sample.tokens], return_counts=True)
+    chars, probabilities = measures.char_unigram_model(tb, types, counts)
     ref_model = ref.char_unigram_model(ref_sample)
     assert chars == ref_model.chars
     assert np.array_equal(probabilities, ref_model.probabilities)
