@@ -222,7 +222,9 @@ def ridge_loocv(
     entry), the model is refit without the held-out row and used to predict
     it.  The report carries, per target, the outer RMSE and
     error_reduction = 1 - RMSE, the gain over a random baseline whose
-    expected RMSE on a standardized target is 1.
+    expected RMSE on a standardized target is 1.  An uninformative design
+    does not read 0: a constant one predicts a held-out y by the other
+    rows' mean, -y/(n-1), so error_reduction = -1/(n-1), -0.077 at n = 14.
 
     The intercept is not penalized.  Its normal equation gives
     intercept = mean(y) - mean(x) . coef for any coef, and substituting

@@ -12,7 +12,10 @@ up to order K, ``G = X @ X.T`` has the closed form (see ``_gram``)
     G[i, j] = 1 + min(K, lcp) + min(K, lcs) + P * (1 + [same last char])
 
 The reported measure is the negative best mean exact-match accuracy
-under 3-fold cross validation over random hyperparameter draws.
+under 3-fold cross validation over random hyperparameter draws.  Cross
+validation builds one sorted table of the edit-script classes of all
+instances: ``train`` sees each instance's class only as an integer, and
+``predict`` is given the script of each class.
 """
 
 from __future__ import annotations
@@ -101,16 +104,6 @@ class Hyperparams:
     epochs: int
 
 
-@dataclass
-class InflectionModel:
-    """Edit-script classes and the perceptron in dual form (see ``train``):
-    the caller gives each query's Gram column against the training
-    instances, which ``predict`` scores times ``dual``."""
-
-    scripts: tuple[EditScript, ...]
-    dual: np.ndarray  # int64, training instances x classes
-
-
 # Instances scored per argmax; a mistake ends a block early.  Fastest size.
 _BLOCK = 32
 
@@ -173,15 +166,12 @@ def _scores(gram: np.ndarray, dual: np.ndarray) -> np.ndarray:
 
 
 def train(
-    instances: Sequence[InflectionInstance],
-    params: Hyperparams,
-    rng: np.random.Generator,
-    *,
-    gram: np.ndarray,
-    scripts: Sequence[EditScript] | None = None,
-) -> InflectionModel:
-    """Averaged-perceptron training over edit-script classes, in dual form.
+    labels: np.ndarray, params: Hyperparams, rng: np.random.Generator, *, gram: np.ndarray
+) -> np.ndarray:
+    """Averaged-perceptron training in dual form: the int64 matrix ``D``
+    (training instances x classes) with ``X.T @ D`` the summed weights.
 
+    ``labels`` gives each training instance's class, 0 to ``labels.max()``.
     A mistake at step t on instance j adds +-1 to the weights ``w`` and +-t
     to ``u`` on j's features; after T steps the summed weights ``T*w - u``
     are T times the averaged ones (Collins 2002).  The scores ``S = X @ w``
@@ -193,21 +183,16 @@ def train(
     so each step sees the scores a step-by-step learner would.  The
     integers are exact, so ties still go to the lowest class index.
     Finally ``T*w - u = X.T @ D``, where ``D[j]`` sums ``(T - t) *
-    (e_gold - e_pred)`` over j's mistakes: the model keeps ``D`` as
-    ``dual`` and never builds the weights.  ``scripts`` may give the
-    instances' edit scripts.  The rng only shuffles instance order.  A
-    single-class training set yields a model that always predicts that class.
+    (e_gold - e_pred)`` over j's mistakes; the weights are never built.
+    The rng only shuffles instance order.  A single class makes no
+    mistake, so ``D`` is zero and every query gets that class.
     """
-    if not instances:
+    if not len(labels):
         raise ValueError("empty training set")
-    scripts = scripts or [derive_edit_script(i.lemma, i.form) for i in instances]
-    classes = tuple(sorted(set(scripts)))
-    class_index = {s: i for i, s in enumerate(classes)}
-    labels = np.array([class_index[s] for s in scripts])
-    n = len(instances)
+    n, n_classes = len(labels), int(labels.max()) + 1
     mistakes: list[tuple[int, int, int, int]] = []  # (instance, gold, predicted, step)
-    if len(classes) > 1:
-        scores = np.zeros((len(classes), n), dtype=np.int64)
+    if n_classes > 1:
+        scores = np.zeros((n_classes, n), dtype=np.int64)
         for epoch in range(params.epochs):
             order = rng.permutation(n)
             gold = labels[order]
@@ -226,24 +211,27 @@ def train(
                 mistakes.append((j, g, c, epoch * n + pos))
     j, g, c, t = np.array(mistakes, dtype=np.int64).reshape(-1, 4).T
     left = params.epochs * n - t
-    dual = np.zeros((n, len(classes)), dtype=np.int64)
+    dual = np.zeros((n, n_classes), dtype=np.int64)
     np.add.at(dual, (np.r_[j, j], np.r_[g, c]), np.r_[left, -left])
-    return InflectionModel(classes, dual)
+    return dual
 
 
-def predict(model: InflectionModel, lemmas: Sequence[str], gram: np.ndarray) -> list[str]:
-    """Apply to each lemma, given the Gram block of the training instances
-    against the lemmas' instances (training instances x lemmas), the
-    best-scoring edit script whose drops fit it.  If none fits, the top one
-    is applied anyway, its drops clamped.
+def predict(
+    scripts: Sequence[EditScript], dual: np.ndarray, lemmas: Sequence[str], gram: np.ndarray
+) -> list[str]:
+    """Apply to each lemma the best-scoring edit script whose drops fit it,
+    scoring ``dual`` (``train``'s, with ``scripts[c]`` class c's script)
+    against the Gram block of the training instances against the lemmas'
+    instances (training instances x lemmas).  If none fits, the top one is
+    applied anyway, its drops clamped.
     """
-    scores = _scores(gram, model.dual)
-    drops = np.array([s.prefix_drop + s.suffix_drop for s in model.scripts])
+    scores = _scores(gram, dual)
+    drops = np.array([s.prefix_drop + s.suffix_drop for s in scripts])
     fits = drops <= np.array([len(lemma) for lemma in lemmas])[:, None]
     best = np.where(fits, scores, np.iinfo(np.int64).min).argmax(axis=1)
     top = scores.argmax(axis=1)
     return [
-        model.scripts[b if ok else t].apply(lemma)
+        scripts[b if ok else t].apply(lemma)
         for lemma, b, t, ok in zip(lemmas, best.tolist(), top.tolist(), fits.any(axis=1))
     ]
 
@@ -285,7 +273,12 @@ def cross_validate(
     order = np.random.default_rng([root, 1]).permutation(len(instances))
     folds = [order[f::n_folds] for f in range(n_folds)]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
+    classes = np.array(sorted(set(scripts)), dtype=object)
+    class_ids = {s: c for c, s in enumerate(classes)}
+    script_ids = np.array([class_ids[s] for s in scripts])
     rows = [(i.lemma, i.feature_bundle) for i in instances]
+    lemmas = np.array([i.lemma for i in instances], dtype=object)
+    forms = np.array([i.form for i in instances], dtype=object)
     ranges = (IASearchConfig.ngram_range, IASearchConfig.epoch_range)
     draws = [
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
@@ -293,18 +286,16 @@ def cross_validate(
     ]
     fold_acc = [[0.0] * n_folds for _ in draws]
     for k in sorted({p.ngram_order for p in draws}):
-        for f, test_idx in enumerate(folds):
-            kept, test = np.concatenate(folds[:f] + folds[f + 1 :]).tolist(), test_idx.tolist()
-            train_set, train_scripts = [instances[i] for i in kept], [scripts[i] for i in kept]
-            train_rows, test_set = [rows[i] for i in kept], [instances[i] for i in test]
-            gram = _gram(train_rows, train_rows + [rows[i] for i in test], k)
+        for f, test in enumerate(folds):
+            kept = np.concatenate(folds[:f] + folds[f + 1 :])
+            present, labels = np.unique(script_ids[kept], return_inverse=True)
+            gram = _gram([rows[i] for i in kept], [rows[i] for i in np.r_[kept, test]], k)
             train_gram, test_gram = gram[:, : len(kept)], gram[:, len(kept) :]
             for draw in (d for d, p in enumerate(draws) if p.ngram_order == k):
                 rng_draw = np.random.default_rng([root, 3, draw, f])
-                model = train(train_set, draws[draw], rng_draw, scripts=train_scripts, gram=train_gram)
-                predicted = predict(model, [i.lemma for i in test_set], test_gram)
-                correct = sum(p == i.form for p, i in zip(predicted, test_set))
-                fold_acc[draw][f] = correct / len(test_set)
+                dual = train(labels, draws[draw], rng_draw, gram=train_gram)
+                predicted = predict(classes[present], dual, lemmas[test], test_gram)
+                fold_acc[draw][f] = int(np.count_nonzero(forms[test] == predicted)) / len(test)
     means = [float(np.mean(acc)) for acc in fold_acc]
     best = max(range(n_draws), key=lambda d: (means[d], -d))
     return IAResult(tuple(fold_acc[best]), means[best], draws[best])

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +62,13 @@ _STAGE_OUTPUTS = {
     "plot": (MEASURES_SVG, PCA_SVG, WALS_ERROR_SVG),
 }
 
+# The columns each TSV begins with; the readers check the ones they read.
+MEASURES_COLUMNS = ("treebank_id", "measure", "mean", "stddev", "n_repetitions", "available")
+TREEBANKS_COLUMNS = ("treebank_id", "language_code", "status", "n_sentences", "n_tokens",
+                     "n_feature_keys", "exclusions", "error")
+PCA_COLUMNS = ("component", "explained_ratio")  # then one loading column per measure
+RIDGE_COLUMNS = ("target", "n_rows", "rmse", "error_reduction", "chosen_alphas")
+
 NA = "NA"
 
 
@@ -102,14 +110,17 @@ def _write_json(path: str, obj: object):
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_tsv(path: str, meta: dict[str, object], header: list[str], rows: list[list[object]]):
+def _write_tsv(path: str, meta: dict[str, object], header: Sequence[str], rows: list[list[object]]):
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append("\t".join(header))
     lines.extend("\t".join(map(_cell, row)) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
+def _read_tsv(
+    path: str, columns: Sequence[str] = ()
+) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """The ``# key: value`` lines, header and rows of a TSV whose header begins with ``columns``."""
     meta: dict[str, str] = {}
     header: list[str] = []
     rows: list[list[str]] = []
@@ -132,6 +143,8 @@ def _read_tsv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
                 )
             else:
                 rows.append(cells)
+    if tuple(header[: len(columns)]) != tuple(columns):
+        raise ValueError(f"{path}: header {header} does not begin with the columns {list(columns)}")
     return meta, header, rows
 
 
@@ -240,8 +253,7 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
             stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
             rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
                          stats.n_repetitions, stats.available])
-    header = ["treebank_id", "measure", "mean", "stddev", "n_repetitions", "available"]
-    _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, header, rows)
+    _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, MEASURES_COLUMNS, rows)
 
     tb_rows = [
         [o.treebank_id, o.language_code, o.status, o.n_sentences, o.n_tokens, o.n_feature_keys,
@@ -251,10 +263,7 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
     _write_tsv(
         os.path.join(config.out, TREEBANKS_TSV),
         {"generator": "morphcomplex", "seed": config.seed},
-        [
-            "treebank_id", "language_code", "status", "n_sentences",
-            "n_tokens", "n_feature_keys", "exclusions", "error",
-        ],
+        TREEBANKS_COLUMNS,
         tb_rows,
     )
 
@@ -302,7 +311,7 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     Returns the matrix, a treebank-to-language map, and the run seed.
     """
     path = os.path.join(out_dir, MEASURES_TSV)
-    meta, _, rows = _read_tsv(path)
+    meta, _, rows = _read_tsv(path, MEASURES_COLUMNS)
     seed = int(meta.get("seed", "0"))
     cells: dict[tuple[str, str], float] = {}
     for row in rows:
@@ -319,7 +328,7 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     values = values.reshape(len(tb_order), len(measures))  # also when either is empty
     matrix = MeasureMatrix(tuple(tb_order), measures, values)
 
-    _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV))
+    _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV), TREEBANKS_COLUMNS[:2])
     languages = {row[0]: row[1] for row in tb_rows}
     return matrix, languages, seed
 
@@ -367,9 +376,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     targets = matrix.values
     target_names = list(matrix.measures)
     if pca_result is not None:
-        loading_header = ["component", "explained_ratio"] + [
-            f"loading:{m}" for m in matrix.measures
-        ]
+        loading_header = [*PCA_COLUMNS, *(f"loading:{m}" for m in matrix.measures)]
         loading_rows = [
             [k + 1, pca_result.explained_ratios[k], *pca_result.loadings[k]]
             for k in range(pca_result.loadings.shape[0])
@@ -410,8 +417,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
                     [name, len(codes), report.rmse[k], report.error_reduction[k], alphas]
                 )
         ridge_rows.sort(key=lambda row: target_names.index(row[0]))
-        ridge_header = ["target", "n_rows", "rmse", "error_reduction", "chosen_alphas"]
-        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, ridge_header, ridge_rows)
+        _write_tsv(os.path.join(out_dir, RIDGE_TSV), meta, RIDGE_COLUMNS, ridge_rows)
 
     _write_json(
         os.path.join(out_dir, ANALYZE_META_JSON),
@@ -443,18 +449,18 @@ def run_plot(out_dir: str) -> list[str]:
     scores_path = os.path.join(out_dir, PCA_SCORES_TSV)
     pca_path = os.path.join(out_dir, PCA_TSV)
     if os.path.exists(scores_path) and os.path.exists(pca_path):
-        _, header, rows = _read_tsv(scores_path)
+        _, header, rows = _read_tsv(scores_path, ["treebank_id"])
         if len(header) >= 3 and rows:
             ids = [r[0] for r in rows]
             x = [float(r[1]) for r in rows]
             y = [float(r[2]) for r in rows]
-            _, _, pca_rows_ = _read_tsv(pca_path)
+            _, _, pca_rows_ = _read_tsv(pca_path, PCA_COLUMNS)
             ratios = [float(r[1]) for r in pca_rows_]
             write(PCA_SVG, svgplot.pca_scatter(x, y, ids, ratios[0], ratios[1], seed=seed))
 
     ridge_path = os.path.join(out_dir, RIDGE_TSV)
     if os.path.exists(ridge_path):
-        _, _, rows = _read_tsv(ridge_path)
+        _, _, rows = _read_tsv(ridge_path, RIDGE_COLUMNS[:4])
         if rows:
             names = [r[0] for r in rows]
             values = [float(r[3]) for r in rows]

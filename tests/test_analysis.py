@@ -463,6 +463,15 @@ class TestRidge:
         np.testing.assert_allclose(report.predictions, 10.0)
         assert report.rmse[0] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [5, 14, 30])
+    def test_constant_design_reads_minus_one_over_n_minus_one(self, n):
+        """Each held-out y of a standardized target is predicted by the
+        other rows' mean, -y/(n-1), so the RMSE is n/(n-1), not 1."""
+        y = standardize(np.random.default_rng(n).normal(size=n))
+        report = ridge_loocv(np.ones((n, 3)), y)
+        np.testing.assert_allclose(report.predictions[:, 0], -y[:, 0] / (n - 1), rtol=0, atol=1e-15)
+        assert report.error_reduction[0] == pytest.approx(-1 / (n - 1), rel=0, abs=1e-15)
+
     def test_linear_target_gives_high_error_reduction(self):
         rng = np.random.default_rng(17)
         x = one_hot_design(rng, 24)

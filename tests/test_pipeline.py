@@ -268,6 +268,29 @@ def test_truncated_measures_tsv_fails_analyze_cleanly(release, tmp_path):
         pipeline.read_measure_matrix(str(out))
 
 
+@pytest.mark.parametrize(
+    "command, name, n_columns",
+    [("analyze", "measures.tsv", 3), ("analyze", "treebanks.tsv", 1),
+     ("plot", "pca.tsv", 1), ("plot", "ridge.tsv", 3)],
+)
+def test_tsv_missing_read_columns_fails_cleanly(
+    release, tmp_path, caplog, command, name, n_columns
+):
+    """A TSV cut to its first ``n_columns`` columns, header and rows alike,
+    fails the stage that reads it with an error naming the file."""
+    root, _, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    cut = [x if x.startswith("#") else "\t".join(x.split("\t")[:n_columns]) for x in lines]
+    (out / name).write_text("\n".join(cut) + "\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"manifest = {root / 'manifest.tsv'}\nout = {out}\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        assert cli.main([command, "--config", str(config)]) == 1
+    assert f"{out / name}: header " in caplog.text
+
+
 def assert_same_outputs(out, other):
     assert sorted(os.listdir(other)) == sorted(os.listdir(out))
     for name in os.listdir(out):
