@@ -263,6 +263,20 @@ class TestPca:
         result = pca(rng.normal(size=(20, 4)), orient_column=2)
         assert np.all(result.loadings[:, 2] >= -1e-12)
 
+    def test_orientation_falls_back_to_first_nonzero_loading(self):
+        # Column 0 is orthogonal to columns 1 and 2, which are proportional:
+        # the first component loads 0 on column 0, so its sign comes from
+        # column 1.
+        x = np.array([[1, 1, 2], [-1, 1, 2], [1, -1, -1], [-1, -1, -1]], dtype=float)
+        centered = x - x.mean(axis=0)
+        result = pca(centered)
+        assert result.loadings.shape == (2, 3)
+        assert abs(result.loadings[0, 0]) <= 1e-12
+        for loadings in result.loadings:
+            first = loadings[np.abs(loadings) > 1e-12][0]
+            assert first > 0
+        np.testing.assert_allclose(result.scores @ result.loadings, centered, atol=1e-12)
+
     def test_first_pc_ranking_invariant_under_column_rescaling(self):
         rng = np.random.default_rng(14)
         base = rng.normal(size=(18, 4)) + np.linspace(0, 3, 18)[:, None]
