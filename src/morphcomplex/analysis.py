@@ -137,24 +137,15 @@ def correlation_matrix(m: MeasureMatrix, method: str = "pearson") -> Correlation
         corr = spearman
     else:
         raise ValueError(f"unknown correlation method {method!r}")
-    p = len(m.measures)
-    values = np.full((p, p), math.nan)
-    significant = np.zeros((p, p), dtype=bool)
-    n_complete = np.zeros((p, p), dtype=int)
     avail = m.available()
-    for i in range(p):
-        values[i, i] = 1.0
-        significant[i, i] = True
-        n_complete[i, i] = int(avail[:, i].sum())
-        for j in range(i + 1, p):
-            both = avail[:, i] & avail[:, j]
-            n = int(both.sum())
-            n_complete[i, j] = n_complete[j, i] = n
-            if n < 3:
-                continue
-            r, sig = corr(m.values[both, i], m.values[both, j])
-            values[i, j] = values[j, i] = r
-            significant[i, j] = significant[j, i] = sig
+    n_complete = avail.T.astype(int) @ avail
+    significant = np.eye(len(m.measures), dtype=bool)
+    values = np.where(significant, 1.0, math.nan)
+    for i, j in zip(*np.nonzero(np.triu(n_complete >= 3, k=1))):
+        both = avail[:, i] & avail[:, j]
+        r, sig = corr(m.values[both, i], m.values[both, j])
+        values[i, j] = values[j, i] = r
+        significant[i, j] = significant[j, i] = sig
     return CorrelationMatrix(values, significant, n_complete)
 
 
@@ -197,16 +188,11 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
     u, s, vt = u[:, keep], s[keep], vt[keep]
     total = float(np.sum(s**2))
     ratios = s**2 / total
-    scores = u * s
-    for k in range(vt.shape[0]):
-        pivot = vt[k, orient_column]
-        if abs(pivot) <= 1e-12:
-            nonzero = np.nonzero(np.abs(vt[k]) > 1e-12)[0]
-            pivot = vt[k, nonzero[0]] if len(nonzero) else 1.0
-        if pivot < 0:
-            vt[k] = -vt[k]
-            scores[:, k] = -scores[:, k]
-    return PcaResult(loadings=vt, scores=scores, explained_ratios=ratios)
+    # Each row of vt is a unit vector, so some loading exceeds 1e-12.
+    nonzero = np.abs(vt) > 1e-12
+    pivot = np.where(nonzero[:, orient_column], orient_column, nonzero.argmax(axis=1))
+    signs = np.where(vt[np.arange(len(vt)), pivot] < 0, -1.0, 1.0)
+    return PcaResult(loadings=vt * signs[:, None], scores=u * s * signs, explained_ratios=ratios)
 
 
 def ridge_loocv(

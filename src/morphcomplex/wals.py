@@ -54,25 +54,15 @@ def load_wals(
     header = [h.strip() for h in header]
     lower = [h.lower() for h in header]
 
-    lang_col = None
-    for name in _LANGUAGE_COLUMNS:
-        if name in lower:
-            lang_col = lower.index(name)
-            break
+    lang_col = next((lower.index(name) for name in _LANGUAGE_COLUMNS if name in lower), None)
     if lang_col is None:
-        raise ValueError(
-            f"WALS CSV needs a language column; expected one of {_LANGUAGE_COLUMNS}"
-        )
+        raise ValueError(f"WALS CSV needs a language column; expected one of {_LANGUAGE_COLUMNS}")
 
-    feature_cols: dict[str, int] = {}
-    missing: list[str] = []
-    for fid in feature_list:
-        for i, h in enumerate(header):
-            if h == fid or h.startswith(fid + " "):
-                feature_cols[fid] = i
-                break
-        else:
-            missing.append(fid)
+    feature_cols = {
+        fid: next((i for i, h in enumerate(header) if h == fid or h.startswith(fid + " ")), None)
+        for fid in feature_list
+    }
+    missing = [fid for fid, col in feature_cols.items() if col is None]
     if missing:
         raise ValueError(f"WALS CSV header is missing feature columns: {missing}")
 
@@ -140,21 +130,15 @@ def encode(
     if not languages:
         raise ValueError("languages must be nonempty")
 
-    categories: dict[str, list[str]] = {}
-    for fid in feature_list:
-        observed = {values[fid] for values in table.values() if fid in values}
-        categories[fid] = sorted(observed)
-
-    column_names: list[str] = []
-    col_of: dict[tuple[str, str], int] = {}
-    for fid in feature_list:
-        for cat in categories[fid] + [MISSING_CATEGORY]:
-            col_of[(fid, cat)] = len(column_names)
-            column_names.append(f"{fid}={cat}")
-
-    matrix = np.zeros((len(languages), len(column_names)))
+    columns = [
+        (fid, cat)
+        for fid in feature_list
+        for cat in [*sorted({values[fid] for values in table.values() if fid in values}),
+                    MISSING_CATEGORY]
+    ]
+    col_of = {column: k for k, column in enumerate(columns)}
+    matrix = np.zeros((len(languages), len(columns)))
     for r, code in enumerate(languages):
         values = table.get(code.casefold(), {})
-        for fid in feature_list:
-            matrix[r, col_of[(fid, values.get(fid, MISSING_CATEGORY))]] = 1.0
-    return DesignMatrix(matrix, tuple(column_names))
+        matrix[r, [col_of[fid, values.get(fid, MISSING_CATEGORY)] for fid in feature_list]] = 1.0
+    return DesignMatrix(matrix, tuple(f"{fid}={cat}" for fid, cat in columns))
