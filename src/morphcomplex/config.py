@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
+from .conllu import read_text
 from .measures import ALL_MEASURES
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -112,9 +113,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8-sig") as f:
-        text = f.read()
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def apply_overrides(config: RunConfig, **overrides: object) -> RunConfig:

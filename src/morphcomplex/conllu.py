@@ -187,6 +187,16 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
     return Treebank(id, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 file's text without its BOM; a byte that is not UTF-8 raises a
+    ``ValueError`` that names the file."""
+    with open(path, encoding="utf-8-sig") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
     """Read a manifest TSV of (treebank id, language code, conllu path).
 
@@ -198,26 +208,24 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str, str]] = []
     seen: dict[str, int] = {}  # treebank id -> its manifest line
-    with open(path, encoding="utf-8-sig") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated columns")
-            tb_id, lang, tb_path = (c.strip() for c in cols)
-            for name, cell in (("treebank id", tb_id), ("language", lang), ("path", tb_path)):
-                if not cell:
-                    raise ValueError(f"{path}: line {line_no}: empty {name}")
-            if tb_id.startswith("#"):
-                raise ValueError(f"{path}: line {line_no}: treebank id {tb_id!r} starts with '#'")
-            if tb_id in seen:
-                raise ValueError(
-                    f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"
-                )
-            seen[tb_id] = line_no
-            entries.append((tb_id, lang, os.path.join(base, tb_path)))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ValueError(f"{path}: line {line_no}: expected 3 tab-separated columns")
+        tb_id, lang, tb_path = (c.strip() for c in cols)
+        for name, cell in (("treebank id", tb_id), ("language", lang), ("path", tb_path)):
+            if not cell:
+                raise ValueError(f"{path}: line {line_no}: empty {name}")
+        if tb_id.startswith("#"):
+            raise ValueError(f"{path}: line {line_no}: treebank id {tb_id!r} starts with '#'")
+        if tb_id in seen:
+            raise ValueError(
+                f"{path}: line {line_no}: treebank id {tb_id!r} already on line {seen[tb_id]}"
+            )
+        seen[tb_id] = line_no
+        entries.append((tb_id, lang, os.path.join(base, tb_path)))
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -29,7 +29,7 @@ from .analysis import (
     standardize,
 )
 from .config import RunConfig
-from .conllu import parse_conllu_file, read_manifest
+from .conllu import parse_conllu_file, read_manifest, read_text
 from .inflection import IAResult, IASearchConfig, cross_validate, extract_instances
 from .measures import (
     ALL_MEASURES,
@@ -146,6 +146,14 @@ def _read_tsv(
     if tuple(header[: len(columns)]) != tuple(columns):
         raise ValueError(f"{path}: header {header} does not begin with the columns {list(columns)}")
     return meta, header, rows
+
+
+def _parse(kind: type, text: str, path: str, where: str):
+    """``kind(text)``, or a ``ValueError`` naming ``path`` and ``where``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}: {where}: cannot read {text!r} as {kind.__name__}") from None
 
 
 @dataclass
@@ -312,7 +320,7 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     """
     path = os.path.join(out_dir, MEASURES_TSV)
     meta, _, rows = _read_tsv(path, MEASURES_COLUMNS)
-    seed = int(meta.get("seed", "0"))
+    seed = _parse(int, meta.get("seed", "0"), path, "# seed")
     cells: dict[tuple[str, str], float] = {}
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]
@@ -321,7 +329,7 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
                 f"{path}: row {tb_id}/{measure}: available is {row[5]!r}, not true or false"
             )
         if row[5] == "true" and mean != NA:
-            cells[(tb_id, measure)] = float(mean)
+            cells[(tb_id, measure)] = _parse(float, mean, path, f"row {tb_id}/{measure}: mean")
     tb_order = list(dict.fromkeys(row[0] for row in rows))
     measures = tuple(m for m in ALL_MEASURES if any((tb, m) in cells for tb in tb_order))
     values = np.array([[cells.get((tb, m), math.nan) for m in measures] for tb in tb_order])
@@ -344,8 +352,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     _remove_outputs(out_dir, "analyze")
     wals_table = None
     if config.wals is not None:  # before any output, so a bad file leaves none
-        with open(config.wals, encoding="utf-8-sig") as f:
-            wals_table = load_wals(f.read())
+        wals_table = load_wals(read_text(config.wals))
     errors: dict[str, str] = {}
     meta = {"generator": "morphcomplex", "seed": seed}
 
@@ -452,10 +459,12 @@ def run_plot(out_dir: str) -> list[str]:
         _, header, rows = _read_tsv(scores_path, ["treebank_id"])
         if len(header) >= 3 and rows:
             ids = [r[0] for r in rows]
-            x = [float(r[1]) for r in rows]
-            y = [float(r[2]) for r in rows]
+            x = [_parse(float, r[1], scores_path, f"row {r[0]}") for r in rows]
+            y = [_parse(float, r[2], scores_path, f"row {r[0]}") for r in rows]
             _, _, pca_rows_ = _read_tsv(pca_path, PCA_COLUMNS)
-            ratios = [float(r[1]) for r in pca_rows_]
+            if len(pca_rows_) < 2:
+                raise ValueError(f"{pca_path}: {len(pca_rows_)} component rows; the scatter needs 2")
+            ratios = [_parse(float, r[1], pca_path, f"component {r[0]}") for r in pca_rows_]
             write(PCA_SVG, svgplot.pca_scatter(x, y, ids, ratios[0], ratios[1], seed=seed))
 
     ridge_path = os.path.join(out_dir, RIDGE_TSV)
@@ -463,6 +472,6 @@ def run_plot(out_dir: str) -> list[str]:
         _, _, rows = _read_tsv(ridge_path, RIDGE_COLUMNS[:4])
         if rows:
             names = [r[0] for r in rows]
-            values = [float(r[3]) for r in rows]
+            values = [_parse(float, r[3], ridge_path, f"row {r[0]}") for r in rows]
             write(WALS_ERROR_SVG, svgplot.error_reduction_bars(names, values, seed=seed))
     return written

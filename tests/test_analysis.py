@@ -165,6 +165,24 @@ class TestCorrelationMatrix:
         assert np.isnan(cm.values[0, 1])
         assert cm.n_complete[0, 1] == 2
 
+    def test_every_cell_matches_a_pairwise_loop(self):
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(9, 5))
+        values[rng.random(size=values.shape) < 0.4] = np.nan
+        cm = correlation_matrix(MeasureMatrix(tuple("abcdefghi"), tuple("vwxyz"), values))
+        avail = ~np.isnan(values)
+        for i in range(5):
+            for j in range(5):
+                both = avail[:, i] & avail[:, j]
+                assert cm.n_complete[i, j] == both.sum()
+                if i == j:
+                    expected = (1.0, True)
+                elif both.sum() < 3:
+                    expected = (math.nan, False)
+                else:
+                    expected = pearson(values[both, i], values[both, j])
+                np.testing.assert_equal((cm.values[i, j], cm.significant[i, j]), expected)
+
     def test_spearman_variant(self):
         cm = correlation_matrix(matrix_with_holes(), "spearman")
         assert cm.values[0, 1] == pytest.approx(1.0)  # strictly increasing pair

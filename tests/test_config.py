@@ -75,6 +75,14 @@ def test_load_config_skips_a_bom(tmp_path):
     assert load_config(str(path)).manifest == os.path.join(str(tmp_path), "manifest.tsv")
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(MINIMAL.encode("utf-8") + b"# \xff\n")
+    expected = f"{path}: not UTF-8 text: invalid start byte"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -109,6 +109,12 @@ class TestParse:
             parse_conllu(text, "x")
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("form, lemma", [("", "b"), ("b", "")])
+    def test_empty_form_or_lemma_reports_line(self, form, lemma):
+        text = token_line(1, "a", "a") + "\n" + token_line(2, form, lemma) + "\n"
+        with pytest.raises(ConlluParseError, match="^line 2: empty FORM or LEMMA column$"):
+            parse_conllu(text, "x")
+
     def test_conflicting_feature_values_rejected(self):
         text = token_line(1, "a", "a", feats="Case=Nom|Case=Gen") + "\n"
         with pytest.raises(ConlluParseError):
@@ -383,6 +389,13 @@ class TestManifest:
         manifest.write_bytes(b"\xef\xbb\xbf# comment line\na_x\taa\ta.conllu\n")
         [(tb_id, lang, _)] = read_manifest(str(manifest))
         assert (tb_id, lang) == ("a_x", "aa")
+
+    def test_manifest_that_is_not_utf8_names_its_file(self, tmp_path):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"a_x\taa\ta.conllu\n# \xff\n")
+        expected = f"{manifest}: not UTF-8 text: invalid start byte"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read_manifest(str(manifest))
 
     def test_bad_column_count(self, tmp_path):
         manifest = tmp_path / "m.tsv"

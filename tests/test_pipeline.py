@@ -22,7 +22,7 @@ from morphcomplex.conllu import parse_conllu
 from morphcomplex.measures import ALL_MEASURES
 from morphcomplex.wals import MORPHOLOGY_FEATURES, encode, load_wals
 
-from synthdata import conllu_text, suffixing_sentences
+from synthdata import conllu_text, make_token, suffixing_sentences
 from test_analysis import nested_loo_reference
 
 N_TREEBANKS = 10  # more rows than measures, so no principal component is degenerate
@@ -225,6 +225,46 @@ def mark_unavailable(text, cells):
     return "\n".join(lines) + "\n"
 
 
+def set_means(text, measure, mean):
+    """``measures.tsv`` text with the mean of every ``measure`` row set to ``mean``."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split("\t")
+        if cells[1:2] == [measure]:
+            lines[i] = "\t".join([*cells[:2], mean, *cells[3:]])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cut, errors",
+    [
+        (lambda text: mark_unavailable(text, {(f"tb{i}", "ttr") for i in range(1, N_TREEBANKS)}),
+         {"pca": f"only 1 treebanks have all of {ALL_MEASURES}; need >= 2",
+          "ridge:ttr": "only 1 rows matched WALS languages"}),
+        (lambda text: set_means(text, "ws", "0.5"),
+         {"pca": "zero variance in ws; cannot standardize",
+          "ridge:ws": "zero variance in ws; cannot standardize"}),
+    ],
+    ids=["one-complete-treebank", "constant-measure"],
+)
+def test_skipped_analyses_are_recorded_and_the_rest_written(release, tmp_path, caplog, cut, errors):
+    with caplog.at_level(logging.WARNING):
+        code, out = analyze_cut_measures(release, tmp_path, cut)
+    assert code == 0
+    meta = json.loads((out / "analyze_meta.json").read_text(encoding="utf-8"))
+    assert meta["errors"] == errors
+    assert meta["n_pca_rows"] == 0
+    assert sorted(os.listdir(out)) == [
+        "analyze_meta.json", "correlations.tsv", "measures.tsv", "ridge.tsv", "treebanks.tsv"
+    ]
+    n_pairs = len(ALL_MEASURES) * (len(ALL_MEASURES) + 1) // 2
+    assert len(pipeline._read_tsv(str(out / "correlations.tsv"))[2]) == 2 * n_pairs
+    skipped = {name.removeprefix("ridge:") for name in errors}
+    assert [r[0] for r in ridge_tsv_rows(out)] == [m for m in ALL_MEASURES if m not in skipped]
+    for name, message in errors.items():
+        assert f"analysis {name} skipped: {message}" in caplog.text
+
+
 def test_one_ridge_fit_per_row_set(release, tmp_path, monkeypatch):
     """ws lacks tb2 and is lacks tb3, so the targets fall into four row sets:
     10 rows (six measures), 9 (ws), 9 (is) and 8 (every component)."""
@@ -291,6 +331,74 @@ def test_tsv_missing_read_columns_fails_cleanly(
     assert f"{out / name}: header " in caplog.text
 
 
+def test_wals_csv_that_is_not_utf8_fails_analyze_naming_it(release, tmp_path, caplog):
+    root, _, _, _ = release
+    wals = tmp_path / "latin1.csv"
+    wals.write_bytes((root / "wals.csv").read_bytes() + b"x\xff,1\n")
+    with caplog.at_level(logging.ERROR):
+        code, out = analyze_cut_measures(release, tmp_path, lambda text: text, wals=wals)
+    assert code == 1
+    assert f"{wals}: not UTF-8 text: invalid start byte" in caplog.text
+    assert sorted(os.listdir(out)) == ["measures.tsv", "treebanks.tsv"]
+
+
+def copy_outputs_with(release, tmp_path, name, edit):
+    """The release's outputs with ``name`` rewritten to ``edit(its lines)``,
+    and a config that reads them; returns both paths."""
+    root, _, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    (out / name).write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"manifest = {root / 'manifest.tsv'}\nout = {out}\n", encoding="utf-8")
+    return out, config
+
+
+def first_row_cell_set(column, text):
+    """An ``edit`` that sets ``column`` of the first row under the header to ``text``."""
+    def edit(lines):
+        row = [i for i, line in enumerate(lines) if not line.startswith("#")][1]
+        cells = lines[row].split("\t")
+        cells[column] = text
+        return [*lines[:row], "\t".join(cells), *lines[row + 1:]]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, where",
+    [
+        ("analyze", "measures.tsv", lambda lines: [x.replace("# seed: 7", "# seed: abc") for x in lines],
+         "# seed: cannot read 'abc' as int"),
+        ("analyze", "measures.tsv", first_row_cell_set(2, "abc"),
+         "row tb0/ttr: mean: cannot read 'abc' as float"),
+        ("plot", "pca_scores.tsv", first_row_cell_set(2, "abc"), "row tb0: cannot read 'abc' as float"),
+        ("plot", "pca.tsv", first_row_cell_set(1, "abc"), "component 1: cannot read 'abc' as float"),
+        ("plot", "ridge.tsv", first_row_cell_set(3, "abc"), "row ttr: cannot read 'abc' as float"),
+    ],
+    ids=["measures-seed", "measures-mean", "pca-scores", "pca-ratio", "ridge"],
+)
+def test_unreadable_number_names_its_file_and_row(release, tmp_path, caplog, command, name, edit, where):
+    out, config = copy_outputs_with(release, tmp_path, name, edit)
+    with caplog.at_level(logging.ERROR):
+        assert cli.main([command, "--config", str(config)]) == 1
+    assert f"{out / name}: {where}" in caplog.text
+
+
+def test_plot_rejects_pca_tsv_with_one_component(release, tmp_path, caplog):
+    """Two score columns beside one component row is a cut ``pca.tsv``."""
+    def keep_first_row(lines):
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        return lines[: header + 2]
+
+    out, config = copy_outputs_with(release, tmp_path, "pca.tsv", keep_first_row)
+    assert len(pipeline._read_tsv(str(out / "pca.tsv"))[2]) == 1
+    with caplog.at_level(logging.ERROR):
+        assert cli.main(["plot", "--config", str(config)]) == 1
+    assert f"{out / 'pca.tsv'}: 1 component rows; the scatter needs 2" in caplog.text
+    assert not (out / "pca.svg").exists()
+
+
 def assert_same_outputs(out, other):
     assert sorted(os.listdir(other)) == sorted(os.listdir(out))
     for name in os.listdir(out):
@@ -336,6 +444,25 @@ def test_neg_ia_pinned(release):
     _, _, rows = pipeline._read_tsv(str(root / "out" / "measures.tsv"))
     cells = {row[0]: row[2] for row in rows if row[1] == "neg_ia"}
     assert cells == {tb: f"{-acc:.12g}" for tb, acc in PINNED_IA_ACCURACY.items()}
+
+
+def test_neg_ia_is_na_with_fewer_instances_than_folds(tmp_path):
+    """Two distinct (lemma, features, form) instances cannot fill 3 folds."""
+    feats = {"Case": "Nom", "Number": "Plur", "Person": "3"}
+    sentence = [make_token("dogs", "dog", "NOUN", feats), make_token("cats", "cat", "NOUN", feats)]
+    (tmp_path / "tb.conllu").write_text(conllu_text([sentence] * 20), encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text("tb\tl0\ttb.conllu\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "manifest = manifest.tsv\nout = out\ntarget_tokens = 20\nrepetitions = 1\n"
+        "measures = ttr,neg_ia\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["measure", "--config", str(config)]) == 0
+    rows = pipeline._read_tsv(str(tmp_path / "out" / "measures.tsv"))[2]
+    assert [r[1:3] + r[4:] for r in rows] == [["ttr", "0.1", "1", "true"], ["neg_ia", "NA", "1", "false"]]
+    ia_params = json.loads((tmp_path / "out" / "ia_params.json").read_text(encoding="utf-8"))
+    assert ia_params["treebanks"] == {}
 
 
 @pytest.mark.parametrize(
