@@ -358,7 +358,7 @@ def copy_outputs_with(release, tmp_path, name, edit):
 def first_row_cell_set(column, text):
     """An ``edit`` that sets ``column`` of the first row under the header to ``text``."""
     def edit(lines):
-        row = [i for i, line in enumerate(lines) if not line.startswith("#")][1]
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
         cells = lines[row].split("\t")
         cells[column] = text
         return [*lines[:row], "\t".join(cells), *lines[row + 1:]]
