@@ -3,6 +3,8 @@
 Importing the package pins OpenBLAS to one thread, since a run's
 parallelism is its ``jobs`` processes; a value the user set wins, and a
 process that loaded numpy before this package keeps its BLAS default.
+Each measuring process may also run one short-lived helper thread for
+``ws``'s zlib call, which releases the GIL.
 """
 
 import os

@@ -113,7 +113,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    return parse_config(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
+    """The configuration in file ``path``; its errors name the file."""
+    text = read_text(path)
+    try:
+        return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def apply_overrides(config: RunConfig, **overrides: object) -> RunConfig:

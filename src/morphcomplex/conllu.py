@@ -88,8 +88,9 @@ class Treebank:
         alphabet, char_ids = np.unique(codes, return_inverse=True)
         return alphabet, char_ids, np.cumsum(self.form_lengths) - self.form_lengths
 
-    @property
+    @cached_property
     def n_feature_keys(self) -> int:
+        """Distinct keys over the feature-bundle table, computed on first use."""
         return len({pair.partition("=")[0] for b in self.bundles[1:] for pair in b.split("|")})
 
 

@@ -84,6 +84,19 @@ def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [("bogus = 1", "config line 3: unknown key 'bogus'"), ("jobs = 0", "jobs must be >= 1")],
+    ids=["parse", "field-check"],
+)
+def test_load_config_names_the_file_in_its_errors(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{MINIMAL}{line}\n", encoding="utf-8")
+    expected = f"{path}: {message}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (MINIMAL + "sede = 3\n", "config line 3: unknown key 'sede'"),

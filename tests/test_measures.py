@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphcomplex.measures import (
+    _OVERLAP_MIN_CHARS,
     ALL_MEASURES,
     EXCLUDED_MEASURES,
     SAMPLE_MEASURES,
@@ -360,6 +361,27 @@ class TestWordStructure:
         a = word_structure_information(sample, np.random.default_rng(5))
         b = word_structure_information(sample, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_equals_the_two_ratios_computed_in_line(self, seed):
+        """Compressing the original on a helper thread, as ws does on long
+        texts, changes no bit of ws, also on the one-character samples that
+        reach ``_next_free``."""
+        samples = [
+            self.tiny(),
+            single_char_type_sample(seed=seed),
+            single_char_type_sample(seed=seed, n_tokens=20000),
+            *matched_corpora(seed=seed, n_tokens=6000),
+            make_sample([[make_token("b")] + [make_token("a")] * 2000]),
+            make_sample([[make_token("b")] + [make_token("a")] * 20000]),
+        ]
+        long = [len(serialize_sample(s)) >= _OVERLAP_MIN_CHARS for s in samples]
+        assert long == [False, False, True, True, True, False, True]
+        for sample in samples:
+            expected = compression_ratio(
+                serialize_rows(distort(sample, np.random.default_rng(seed)))
+            ) - compression_ratio(serialize_sample(sample))
+            assert word_structure_information(sample, np.random.default_rng(seed)) == expected
 
 
 class TestRegistry:

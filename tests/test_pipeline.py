@@ -820,12 +820,14 @@ def loaded_modules(code, *args):
 
 def test_cli_import_loads_no_scipy_urllib_or_process_pool():
     """scipy is only the tests' reference, urllib came with an XML escape,
-    and the pool's module is needed only when ``jobs > 1``."""
+    the pool's module is needed only when ``jobs > 1`` and the thread
+    pool's only when ``ws`` is measured."""
     modules = loaded_modules("import sys, morphcomplex.cli")
     assert "morphcomplex.cli" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "urllib.request" not in modules
     assert "concurrent.futures.process" not in modules
+    assert "concurrent.futures.thread" not in modules
 
 
 def test_package_import_loads_no_numpy():

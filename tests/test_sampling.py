@@ -1,6 +1,11 @@
+import contextlib
+import re
+import threading
+
 import numpy as np
 import pytest
 
+from morphcomplex import measures
 from morphcomplex.sampling import (
     MeasureError,
     bootstrap_sample,
@@ -129,3 +134,75 @@ class TestStreams:
         b = sample_rng(3, "tb2", 0).uniform(size=4)
         assert not np.allclose(a, b)
 
+
+# Sample tokens whose serialization ws compresses on a helper thread.
+LONG = 8000
+
+# The ws step that fails on its second call: the distortion on the calling
+# thread or the compression on the helper thread.  (An empty text, the one
+# that compression_ratio rejects, is never long enough for the helper.)
+FAILURES = [("distort", False), ("compression_ratio", True)]
+
+
+def fail_on_second_call(fn, off_thread):
+    """``fn``, except that the second of its calls made on this thread or,
+    with ``off_thread``, on another thread raises ``RuntimeError``."""
+    caller, calls = threading.get_ident(), []
+
+    def patched(*args):
+        if (threading.get_ident() != caller) == off_thread:
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("second call")
+        return fn(*args)
+
+    return patched
+
+
+class TestWsHelperThread:
+    """On a long text, ``ws`` compresses the original on a helper thread
+    while the calling thread distorts the sample."""
+
+    @pytest.mark.parametrize("tokens, helper", [(30, False), (LONG, True)])
+    def test_only_a_long_original_text_is_compressed_off_the_calling_thread(
+        self, monkeypatch, tokens, helper
+    ):
+        compress = measures.compression_ratio
+        threads = []
+
+        def recording(text):
+            threads.append(threading.get_ident())
+            return compress(text)
+
+        monkeypatch.setattr(measures, "compression_ratio", recording)
+        sample = bootstrap_sample(varied_treebank(), tokens, np.random.default_rng(0))
+        assert (len(measures.serialize_sample(sample)) >= measures._OVERLAP_MIN_CHARS) == helper
+        measures.word_structure_information(sample, np.random.default_rng(0))
+        assert len(threads) == 2
+        assert (threads[0] != threading.get_ident()) == helper
+        assert threads[1] == threading.get_ident()
+
+    @pytest.mark.parametrize("attr, off_thread", FAILURES, ids=["distort", "helper"])
+    def test_failure_on_either_thread_names_ws_and_the_repetition(
+        self, monkeypatch, attr, off_thread
+    ):
+        monkeypatch.setattr(measures, attr, fail_on_second_call(getattr(measures, attr), off_thread))
+        fns = measures.sample_measure_functions(["ws"], is_count_values=False)
+        expected = "measure 'ws' failed on repetition 1 of varied: RuntimeError: second call"
+        with pytest.raises(MeasureError, match=f"^{re.escape(expected)}$"):
+            run_repetitions(varied_treebank(), fns, LONG, 3, 0)
+
+    @pytest.mark.parametrize(
+        "attr, off_thread", [(None, None)] + FAILURES, ids=["ok", "distort", "helper"]
+    )
+    def test_no_thread_outlives_the_repetitions(self, monkeypatch, attr, off_thread):
+        """A thread alive when the worker pool forks warns on Python >= 3.12."""
+        if attr is not None:
+            monkeypatch.setattr(
+                measures, attr, fail_on_second_call(getattr(measures, attr), off_thread)
+            )
+        fns = measures.sample_measure_functions(["ws"], is_count_values=False)
+        before = threading.active_count()
+        with contextlib.nullcontext() if attr is None else pytest.raises(MeasureError):
+            run_repetitions(varied_treebank(), fns, LONG, 3, 0)
+        assert threading.active_count() == before
