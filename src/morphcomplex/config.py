@@ -92,7 +92,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     keys are rejected so typos cannot silently fall back to defaults.
     """
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

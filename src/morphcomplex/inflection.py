@@ -108,8 +108,8 @@ class Hyperparams:
 _BLOCK = 32
 
 
-def _distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct strings and each value's index among them."""
+def _distinct(values: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and each value's index among them."""
     return np.unique(np.array(values, dtype=object), return_inverse=True)
 
 
@@ -182,15 +182,16 @@ def train(
     shuffled instances, applies the first mistake and resumes after it,
     so each step sees the scores a step-by-step learner would.  The
     integers are exact, so ties still go to the lowest class index.
-    Finally ``T*w - u = X.T @ D``, where ``D[j]`` sums ``(T - t) *
-    (e_gold - e_pred)`` over j's mistakes; the weights are never built.
-    The rng only shuffles instance order.  A single class makes no
-    mistake, so ``D`` is zero and every query gets that class.
+    ``T*w - u = X.T @ D``, where ``D[j]`` sums ``(T - t) * (e_gold -
+    e_pred)`` over j's mistakes, each added to ``D`` as it happens; the
+    weights are never built.  The rng only shuffles instance order.  A
+    single class makes no mistake, so ``D`` is zero and every query gets
+    that class.
     """
     if not len(labels):
         raise ValueError("empty training set")
     n, n_classes = len(labels), int(labels.max()) + 1
-    mistakes: list[tuple[int, int, int, int]] = []  # (instance, gold, predicted, step)
+    dual = np.zeros((n, n_classes), dtype=np.int64)
     if n_classes > 1:
         scores = np.zeros((n_classes, n), dtype=np.int64)
         for epoch in range(params.epochs):
@@ -208,11 +209,9 @@ def train(
                 scores[g] += gram[j]
                 scores[c] -= gram[j]
                 pos += k + 1
-                mistakes.append((j, g, c, epoch * n + pos))
-    j, g, c, t = np.array(mistakes, dtype=np.int64).reshape(-1, 4).T
-    left = params.epochs * n - t
-    dual = np.zeros((n, n_classes), dtype=np.int64)
-    np.add.at(dual, (np.r_[j, j], np.r_[g, c]), np.r_[left, -left])
+                left = (params.epochs - epoch) * n - pos  # T - t
+                dual[j, g] += left
+                dual[j, c] -= left
     return dual
 
 
@@ -229,11 +228,8 @@ def predict(
     drops = np.array([s.prefix_drop + s.suffix_drop for s in scripts])
     fits = drops <= np.array([len(lemma) for lemma in lemmas])[:, None]
     best = np.where(fits, scores, np.iinfo(np.int64).min).argmax(axis=1)
-    top = scores.argmax(axis=1)
-    return [
-        scripts[b if ok else t].apply(lemma)
-        for lemma, b, t, ok in zip(lemmas, best.tolist(), top.tolist(), fits.any(axis=1))
-    ]
+    chosen = np.where(fits.any(axis=1), best, scores.argmax(axis=1))
+    return [scripts[c].apply(lemma) for lemma, c in zip(lemmas, chosen.tolist())]
 
 
 class IASearchConfig:
@@ -273,9 +269,7 @@ def cross_validate(
     order = np.random.default_rng([root, 1]).permutation(len(instances))
     folds = [order[f::n_folds] for f in range(n_folds)]
     scripts = [derive_edit_script(i.lemma, i.form) for i in instances]
-    classes = np.array(sorted(set(scripts)), dtype=object)
-    class_ids = {s: c for c, s in enumerate(classes)}
-    script_ids = np.array([class_ids[s] for s in scripts])
+    classes, script_ids = _distinct(scripts)
     rows = [(i.lemma, i.feature_bundle) for i in instances]
     lemmas = np.array([i.lemma for i in instances], dtype=object)
     forms = np.array([i.form for i in instances], dtype=object)
@@ -284,7 +278,7 @@ def cross_validate(
         Hyperparams(*(int(g.integers(lo, hi + 1)) for lo, hi in ranges))
         for g in (np.random.default_rng([root, 2, d]) for d in range(n_draws))
     ]
-    fold_acc = [[0.0] * n_folds for _ in draws]
+    fold_acc = np.zeros((n_draws, n_folds))
     for k in sorted({p.ngram_order for p in draws}):
         for f, test in enumerate(folds):
             kept = np.concatenate(folds[:f] + folds[f + 1 :])
@@ -295,7 +289,6 @@ def cross_validate(
                 rng_draw = np.random.default_rng([root, 3, draw, f])
                 dual = train(labels, draws[draw], rng_draw, gram=train_gram)
                 predicted = predict(classes[present], dual, lemmas[test], test_gram)
-                fold_acc[draw][f] = int(np.count_nonzero(forms[test] == predicted)) / len(test)
-    means = [float(np.mean(acc)) for acc in fold_acc]
-    best = max(range(n_draws), key=lambda d: (means[d], -d))
-    return IAResult(tuple(fold_acc[best]), means[best], draws[best])
+                fold_acc[draw, f] = np.count_nonzero(forms[test] == predicted) / len(test)
+    best = int(fold_acc.mean(axis=1).argmax())  # the first maximum, so the earlier draw
+    return IAResult(tuple(fold_acc[best].tolist()), float(fold_acc[best].mean()), draws[best])

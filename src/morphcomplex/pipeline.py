@@ -320,7 +320,9 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     """
     path = os.path.join(out_dir, MEASURES_TSV)
     meta, _, rows = _read_tsv(path, MEASURES_COLUMNS)
-    seed = _parse(int, meta.get("seed", "0"), path, "# seed")
+    if "seed" not in meta:
+        raise ValueError(f"{path}: no '# seed:' line")
+    seed = _parse(int, meta["seed"], path, "# seed")
     cells: dict[tuple[str, str], float] = {}
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]

@@ -53,6 +53,14 @@ def test_comments_and_blank_lines_ignored():
     assert (config.manifest, config.out) == (os.path.join(BASE, "m.tsv"), os.path.join(BASE, "o"))
 
 
+def test_lines_break_only_at_newlines():
+    """A form feed or U+2028 neither ends a line nor shifts the line numbers after it."""
+    with pytest.raises(ValueError, match=r"^config line 4: unknown key 'bogus'$"):
+        parse_config(MINIMAL + "\x0c\nbogus = 1\n", BASE)
+    config = parse_config("manifest = m.tsv\nout = o\u2028x\n", BASE)
+    assert config.out == os.path.join(BASE, "o\u2028x")
+
+
 def test_relative_paths_resolve_against_base_and_absolute_paths_stay():
     absolute = os.path.join(os.sep, "data", "wals.csv")
     config = parse_config(f"manifest = sub/m.tsv\nout = {BASE}\nwals = {absolute}\n", "cfg")

@@ -13,6 +13,7 @@ from morphcomplex.inflection import (
     Hyperparams,
     IAResult,
     InflectionInstance,
+    _distinct,
     _gram,
     _scores,
     cross_validate,
@@ -663,6 +664,24 @@ class TestCrossValidate:
         instances = [InflectionInstance(f"lem{i}", "Case=Nom", f"lem{i}s") for i in range(12)]
         result = cross_validate(instances, 6, np.random.default_rng(3))
         assert result == IAResult((1.0, 1.0, 1.0), 1.0, Hyperparams(1, 29))
+
+    @given(
+        st.lists(
+            st.builds(
+                EditScript, st.integers(0, 2), st.text("xy", max_size=2),
+                st.integers(0, 2), st.text("xy", max_size=2),
+            ),
+            min_size=1, max_size=6,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_class_table_is_the_sorted_set(self, scripts):
+        """The class table ``_distinct`` makes of repeated edit scripts:
+        numpy's object sort agrees with ``EditScript``'s field-order
+        comparisons, and each id indexes its script's class."""
+        classes, ids = _distinct(scripts)
+        assert classes.tolist() == sorted(set(scripts))
+        assert classes[ids].tolist() == scripts
 
     def test_regular_toy_language_high_accuracy(self):
         instances = regular_toy_instances(50, seed=1)

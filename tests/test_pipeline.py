@@ -365,18 +365,28 @@ def first_row_cell_set(column, text):
     return edit
 
 
+def drop_seed_line(lines):
+    """An ``edit`` that removes the ``# seed:`` line, so the seed is unknown, not 0."""
+    return [line for line in lines if not line.startswith("# seed:")]
+
+
 @pytest.mark.parametrize(
     "command, name, edit, where",
     [
         ("analyze", "measures.tsv", lambda lines: [x.replace("# seed: 7", "# seed: abc") for x in lines],
          "# seed: cannot read 'abc' as int"),
+        ("analyze", "measures.tsv", drop_seed_line, "no '# seed:' line"),
+        ("plot", "measures.tsv", drop_seed_line, "no '# seed:' line"),
         ("analyze", "measures.tsv", first_row_cell_set(2, "abc"),
          "row tb0/ttr: mean: cannot read 'abc' as float"),
         ("plot", "pca_scores.tsv", first_row_cell_set(2, "abc"), "row tb0: cannot read 'abc' as float"),
         ("plot", "pca.tsv", first_row_cell_set(1, "abc"), "component 1: cannot read 'abc' as float"),
         ("plot", "ridge.tsv", first_row_cell_set(3, "abc"), "row ttr: cannot read 'abc' as float"),
     ],
-    ids=["measures-seed", "measures-mean", "pca-scores", "pca-ratio", "ridge"],
+    ids=[
+        "measures-seed", "measures-no-seed", "plot-no-seed", "measures-mean", "pca-scores",
+        "pca-ratio", "ridge",
+    ],
 )
 def test_unreadable_number_names_its_file_and_row(release, tmp_path, caplog, command, name, edit, where):
     out, config = copy_outputs_with(release, tmp_path, name, edit)
