@@ -4,10 +4,9 @@ Only the columns needed for morphological statistics are kept: FORM,
 LEMMA and FEATS, each interned into a table of distinct values with one
 ``int32`` ID per token, a FEATS cell as its canonical text (see
 ``_parse_feats``).  UPOS and the dependency columns are dropped.
-Files are streamed line by line, never held whole, in text mode.  Only
-when a file is not valid UTF-8 is it parsed again from the start, decoding
-each line on its own, so the error names the first faulty line: a
-malformed line before the bad bytes is reported ahead of them.
+A file is read once, in binary, line by line and never held whole; each
+line is decoded on its own as it is parsed, so an error names the first
+faulty line, and a malformed line before bad bytes is reported ahead of them.
 """
 
 from __future__ import annotations
@@ -28,10 +27,11 @@ _N_COLUMNS = 10
 
 
 class ConlluParseError(ValueError):
-    """Malformed CoNLL-U input; carries the 1-based source line number."""
+    """Malformed CoNLL-U input; carries the 1-based source line number, or
+    ``None`` for a fault of the whole input."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -115,7 +115,7 @@ def parse_conllu(text: str, id: str, lowercase: bool = False) -> Treebank:
 
     Multiword-token range lines (``1-2``) and empty nodes (``1.1``) are
     skipped; any other ID that is not ASCII digits is an error.  Comment
-    lines start with ``#``; blank lines end a sentence.  A leading
+    lines start with ``#``; whitespace-only lines end a sentence.  A leading
     byte-order mark and CRLF line ends are accepted.
     ``lowercase`` folds forms and lemmas (off by default).
     """
@@ -123,19 +123,17 @@ def parse_conllu(text: str, id: str, lowercase: bool = False) -> Treebank:
 
 
 def parse_conllu_file(path: str, id: str, lowercase: bool = False) -> Treebank:
-    """``parse_conllu`` over a UTF-8 file, read one line at a time."""
-    try:
-        # newline="\n": only "\n" ends a line, so a lone "\r" stays inside its field.
-        with open(path, encoding="utf-8-sig", newline="\n") as f:
-            return _parse_lines(f, id, lowercase)
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            return _parse_lines(_decode_lines(f), id, lowercase)
+    """``parse_conllu`` over a UTF-8 file, read in binary and decoded one
+    line at a time.  Only ``\\n`` ends a line, so a lone ``\\r`` stays inside
+    its field."""
+    with open(path, "rb") as f:
+        return _parse_lines(_decode_lines(f), id, lowercase)
 
 
 def _decode_lines(lines: Iterable[bytes]) -> Iterator[str]:
-    """Decode each line on its own, so the first fault in line order is the
-    one reported: a malformed line, or a line that is not UTF-8."""
+    """Decode each line on its own, the first without its BOM, so the first
+    fault in line order is the one reported: a malformed line, or a line that
+    is not UTF-8."""
     for line_no, line in enumerate(lines, start=1):
         try:
             yield line.decode("utf-8-sig" if line_no == 1 else "utf-8")
@@ -150,22 +148,20 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
     cells: dict[str, int] = {}  # FEATS cell -> bundle ID: each distinct cell is parsed once
     form_ids, lemma_ids, bundle_ids, boundaries = [], [], [], [0]
     for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            if boundaries[-1] < len(form_ids):  # blank lines in a row end one sentence
-                boundaries.append(len(form_ids))
-            continue
-        if line.startswith("#"):
-            continue
+        # A line may keep its line end: it stays in the last column, and strip() drops it.
         cols = line.split("\t")
-        if len(cols) != _N_COLUMNS:
-            raise ConlluParseError(f"expected {_N_COLUMNS} columns, got {len(cols)}", line_no)
         tok_id = cols[0]
-        if not (tok_id.isascii() and tok_id.isdigit()):
-            head, sep, tail = tok_id.partition("-" if "-" in tok_id else ".")
-            if not (sep and tok_id.isascii() and head.isdigit() and tail.isdigit()):
-                raise ConlluParseError(f"unparsable token ID {tok_id!r}", line_no)
-            continue  # surface range line N-M or empty node N.M
+        if len(cols) != _N_COLUMNS or not (tok_id.isascii() and tok_id.isdigit()):
+            if not line.strip():
+                if boundaries[-1] < len(form_ids):  # blank lines in a row end one sentence
+                    boundaries.append(len(form_ids))
+            elif not line.startswith("#"):
+                if len(cols) != _N_COLUMNS:
+                    raise ConlluParseError(f"expected {_N_COLUMNS} columns, got {len(cols)}", line_no)
+                head, sep, tail = tok_id.partition("-" if "-" in tok_id else ".")
+                if not (sep and tok_id.isascii() and head.isdigit() and tail.isdigit()):
+                    raise ConlluParseError(f"unparsable token ID {tok_id!r}", line_no)
+            continue  # a blank line, a comment, a range line N-M or an empty node N.M
         form, lemma, feats = cols[1], cols[2], cols[5]
         if not form or not lemma:
             raise ConlluParseError("empty FORM or LEMMA column", line_no)
@@ -181,7 +177,7 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
         lemma_ids.append(lemmas.setdefault(lemma, len(lemmas)))
         bundle_ids.append(bundle)
     if not form_ids:
-        raise ConlluParseError("no sentences found in input", 0)
+        raise ConlluParseError("no sentences found in input")
     if boundaries[-1] == len(form_ids):
         boundaries.pop()  # the blank line after the last sentence
     ids = (np.array(col, dtype=np.int32) for col in (form_ids, lemma_ids, bundle_ids, boundaries))

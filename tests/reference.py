@@ -128,7 +128,7 @@ def parse_conllu(text: str, id: str, language_code: str, lowercase: bool = False
     if current:
         sentences.append(Sentence(tuple(current)))
     if not sentences:
-        raise ConlluParseError("no sentences found in input", 0)
+        raise ConlluParseError("no sentences found in input")
     return Treebank.build(id, language_code, tuple(sentences))
 
 

@@ -1,4 +1,6 @@
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -121,10 +123,11 @@ class TestParse:
             parse_conllu(text, "x")
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ConlluParseError):
-            parse_conllu("", "x")
-        with pytest.raises(ConlluParseError):
-            parse_conllu("# only a comment\n\n", "x")
+        """A fault of the whole input names no line."""
+        for text in ("", "# only a comment\n\n"):
+            with pytest.raises(ConlluParseError, match="^no sentences found in input$") as err:
+                parse_conllu(text, "x")
+            assert err.value.line_no is None
 
     def test_bad_token_id_rejected(self):
         with pytest.raises(ConlluParseError):
@@ -153,6 +156,12 @@ FILE_INPUTS = {
     "no-final-newline": SIMPLE.rstrip("\n").encode("utf-8"),
     "trailing-blank-lines": (SIMPLE + "\n\r\n\n").encode("utf-8"),
     "whitespace-only-lines": SIMPLE.replace("\n\n", "\n \t\n  \r\n").encode("utf-8"),
+    # Ten tab-separated cells, as on a token line, but a sentence break and a comment.
+    "nine-tabs-and-tabbed-comment": (
+        SIMPLE.replace("\n\n", "\n" + "\t" * 9 + "\n")
+        .replace("# sent_id = 2", "# sent_id\t=\t2" + "\t_" * 7)
+        .encode("utf-8")
+    ),
 }
 
 
@@ -330,11 +339,13 @@ FEATS_CELL = st.dictionaries(
 
 @st.composite
 def conllu_lines(draw):
-    """Token lines, with range lines, empty nodes, comments and blank lines."""
+    """Token lines, with range lines, empty nodes, comments (some holding tabs)
+    and blank lines (some of nine tabs)."""
     lines = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
-            lines.append("# text = " + draw(CELL_TEXT))
+            cells = draw(st.lists(CELL_TEXT, min_size=1, max_size=10))
+            lines.append("# text = " + "\t".join(cells))
         for i in range(1, draw(st.integers(1, 5)) + 1):
             if draw(st.integers(0, 4)) == 0:
                 lines.append(f"{i}-{i + 1}\t{draw(CELL_TEXT)}\t_\t_\t_\t_\t_\t_\t_\t_")
@@ -343,7 +354,7 @@ def conllu_lines(draw):
             lines.append(token_line(i, form, lemma, feats=draw(FEATS_CELL)))
             if draw(st.integers(0, 4)) == 0:
                 lines.append(f"{i}.1\t{draw(CELL_TEXT)}\t_\t_\t_\t_\t_\t_\t_\t_")
-        lines.append("")
+        lines.append(draw(st.sampled_from(["", "\t" * 9])))
     return lines
 
 
@@ -351,11 +362,22 @@ def encode(lines, crlf, bom):
     return ("\ufeff" if bom else "") + ("\r\n" if crlf else "\n").join(lines)
 
 
+def parse_as_file(text, **kwargs):
+    """``parse_conllu_file`` on ``text`` written as UTF-8 to a temporary file
+    (hypothesis rejects the function-scoped ``tmp_path`` under ``@given``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.conllu")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8"))
+        return parse_conllu_file(path, "x", **kwargs)
+
+
 class TestRoundTrip:
     @given(lines=conllu_lines(), crlf=st.booleans(), bom=st.booleans(), lowercase=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_parse_serialize_parse(self, lines, crlf, bom, lowercase):
         tb = parse_conllu(encode(lines, crlf, bom), "x", lowercase=lowercase)
+        assert parse_as_file(encode(lines, crlf, bom), lowercase=lowercase) == tb
         assert parse_conllu(conllu_text(treebank_tokens(tb)), "x", lowercase=lowercase) == tb
         old = reference.parse_conllu(encode(lines, crlf, False), "x", "xx", lowercase=lowercase)
         expected = [[(t.form, t.lemma, t.feats) for t in s.tokens] for s in old.sentences]
@@ -369,9 +391,13 @@ class TestRoundTrip:
             [token_line(1, "a", feats="Case"), "1\tonly-two", token_line("x", "a")]
             + [token_line(i, "a") for i in ("x-y", "-", "1.", ".", "1-2-3", "1-2.1", "²", "1-²")]
         ))
+        text = encode(lines[:at] + [bad] + lines[at:], crlf, bom)
         with pytest.raises(ConlluParseError) as err:
-            parse_conllu(encode(lines[:at] + [bad] + lines[at:], crlf, bom), "x")
+            parse_conllu(text, "x")
         assert err.value.line_no == at + 1
+        with pytest.raises(ConlluParseError) as file_err:
+            parse_as_file(text)
+        assert file_err.value.line_no == at + 1
 
 
 class TestManifest:
