@@ -383,6 +383,14 @@ class TestWordStructure:
             ) - compression_ratio(serialize_sample(sample))
             assert word_structure_information(sample, np.random.default_rng(seed)) == expected
 
+    def test_long_sample_values_pinned(self):
+        """ws on two 48,000-character samples, which take the helper-thread
+        path; the digest pins of the pipeline use 200-token samples only."""
+        samples = matched_corpora(seed=0, n_tokens=6000)
+        assert [len(serialize_sample(s)) for s in samples] == [47999, 47999]
+        values = [word_structure_information(s, np.random.default_rng(0)) for s in samples]
+        assert values == [0.037604950103127144, 0.00041667534740302825]
+
 
 class TestRegistry:
     def test_all_sample_measures_available(self):
