@@ -55,8 +55,8 @@ class RunConfig:
             raise ValueError(f"config key measures: names listed twice {repeated}")
 
     def validate_paths(self):
-        """Require the manifest and any WALS CSV to be files, so that a blank
-        or directory path fails before the measure stage, not after it."""
+        """Require the manifest and any WALS CSV to be files, so that a
+        directory path fails before the measure stage, not after it."""
         for key, path in (("manifest", self.manifest), ("wals", self.wals)):
             if path is not None and not os.path.isfile(path):
                 raise FileNotFoundError(f"config key {key}: not a file: {path}")
@@ -69,6 +69,8 @@ def _value(key: str, text: str, base_dir: str) -> object:
     """The field value that ``text`` gives config key ``key``, of its default's type."""
     default = _DEFAULTS[key]
     if key in ("manifest", "out", "wals"):
+        if not text:  # joined to base_dir, it would name the config's own directory
+            raise ValueError(f"config key {key}: expected a path, got {text!r}")
         return os.path.join(base_dir, text)
     if isinstance(default, bool):  # before int: a bool is an int
         if text.lower() not in _BOOL_VALUES:

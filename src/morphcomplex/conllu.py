@@ -81,14 +81,6 @@ class Treebank:
         return np.fromiter(map(len, self.forms), dtype=np.intp, count=len(self.forms))
 
     @cached_property
-    def form_chars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The forms' sorted distinct code points, the index into them of each character
-        of the forms joined in table order, and each form's offset in that join."""
-        codes = np.frombuffer("".join(self.forms).encode("utf-32-le"), dtype=np.uint32)
-        alphabet, char_ids = np.unique(codes, return_inverse=True)
-        return alphabet, char_ids, np.cumsum(self.form_lengths) - self.form_lengths
-
-    @cached_property
     def n_feature_keys(self) -> int:
         """Distinct keys over the feature-bundle table, computed on first use."""
         return len({pair.partition("=")[0] for b in self.bundles[1:] for pair in b.split("|")})

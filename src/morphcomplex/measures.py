@@ -15,7 +15,7 @@ them as zeros.
 Every measure counts over the treebank's interned ID arrays at the
 sample's token indices (``np.bincount``/``np.unique``); Python loops run
 only over the distinct feature bundles or word types of a sample.  ``ws``
-takes its type counts, first occurrences and character model from one pass.
+takes its character model from the sample text it compresses.
 ``np.unique`` always gets a ``return_*`` argument: without one, numpy 2.4
 imports ``numpy.ma`` to check for a masked array.
 """
@@ -155,24 +155,18 @@ def feature_entropy(sample: Sample) -> float | None:
     return plugin_entropy(list(counts.values())) if counts else None
 
 
-def char_unigram_model(
-    tb: Treebank, types: np.ndarray, counts: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The characters of the forms ``types`` of ``tb``, where form
-    ``types[k]`` has ``counts[k]`` tokens, and their token-weighted
-    probabilities, delimiters excluded."""
-    alphabet, char_ids, offsets = tb.form_chars
-    lengths = tb.form_lengths[types]
-    ends = np.cumsum(lengths)
-    at = np.repeat(offsets[types] - (ends - lengths), lengths) + np.arange(ends[-1])
-    weights = np.repeat(counts, lengths)
-    char_counts = np.bincount(char_ids[at], weights=weights, minlength=len(alphabet))
-    keep = (char_counts > 0) & ~np.isin(alphabet, _DELIMITER_CODES)
+def char_unigram_model(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The characters of ``text``, a serialized sample, in code-point order
+    and their relative frequencies, delimiters excluded: the forms'
+    characters weighted by token count."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    alphabet, counts = np.unique(codes, return_counts=True)
+    keep = ~np.isin(alphabet, _DELIMITER_CODES)
     if not keep.any():
         # Degenerate sample whose forms are all delimiter characters.
         return ("x",), np.ones(1)
-    chars, char_counts = tuple(map(chr, alphabet[keep].tolist())), char_counts[keep]
-    return chars, char_counts / char_counts.sum()
+    counts = counts[keep]
+    return tuple(map(chr, alphabet[keep].tolist())), counts / counts.sum()
 
 
 def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
@@ -198,42 +192,38 @@ def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
     raise RuntimeError("distortion alphabet exhausted for this word length")
 
 
-def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
+def distort(sample: Sample, rng: np.random.Generator, text: str) -> list[list[str]]:
     """Replace every word type with a random same-length string.
 
     One injective type-to-replacement mapping is built per sample;
-    replacement characters are drawn i.i.d. from the sample's character
-    unigram model.  Every occurrence of a type is replaced identically, so
-    the distorted text keeps the original type/token statistics while its
-    within-word structure is destroyed.
+    replacement characters are drawn i.i.d. from the character unigram
+    model of ``text``, the sample's serialization.  Every occurrence of a
+    type is replaced identically, so the distorted text keeps the original
+    type/token statistics while its within-word structure is destroyed.
 
     Each round draws the characters of every type still unmapped in one
     call; in first-occurrence order, a type keeps its draw unless an
     earlier type already holds that string.  After the retry budget the
     rest take the next free string.
     """
-    tb = sample.treebank
-    ids = tb.form_ids[sample.tokens]
-    _, first, inverse, counts = np.unique(
-        ids, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    types = ids[first[order]]  # word types in first-occurrence order
-    chars, probabilities = char_unigram_model(tb, types, counts[order])
+    ids = sample.treebank.form_ids[sample.tokens]
+    types, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    chars, probabilities = char_unigram_model(text)
     codes = np.array([ord(c) for c in chars], dtype=np.uint32)
-    lengths = tb.form_lengths[types]
+    lengths = sample.treebank.form_lengths[types]
     replacement = [""] * len(types)
     used: set[str] = set()
-    pending = np.flatnonzero(lengths).tolist()
+    order = np.argsort(first)  # types in first-occurrence order
+    pending = order[lengths[order] > 0].tolist()
     for _ in range(_DISTORT_MAX_RETRIES):
         if not pending:
             break
         ends = np.cumsum(lengths[pending]).tolist()
         draw = rng.choice(len(codes), size=ends[-1], p=probabilities)
-        text = codes[draw].tobytes().decode("utf-32-le")
+        drawn = codes[draw].tobytes().decode("utf-32-le")
         collided = []
         for k, start, end in zip(pending, [0] + ends, ends):
-            cand = replacement[k] = text[start:end]
+            cand = replacement[k] = drawn[start:end]
             if cand in used:
                 collided.append(k)
             else:
@@ -247,8 +237,7 @@ def distort(sample: Sample, rng: np.random.Generator) -> list[list[str]]:
             "used deterministic disambiguation",
             lengths[k],
         )
-    rank = np.argsort(order)  # rank[u]: where the u-th smallest id comes in ``types``
-    return sample.rows(np.array(replacement, dtype=object)[rank[inverse]].tolist())
+    return sample.rows(np.array(replacement, dtype=object)[inverse].tolist())
 
 
 def serialize_rows(rows: Iterable[Iterable[str]]) -> str:
@@ -279,12 +268,14 @@ def word_structure_information(sample: Sample, rng: np.random.Generator) -> floa
     """
     original = serialize_sample(sample)
     if len(original) < _OVERLAP_MIN_CHARS:
-        return compression_ratio(serialize_rows(distort(sample, rng))) - compression_ratio(original)
+        distorted = serialize_rows(distort(sample, rng, original))
+        return compression_ratio(distorted) - compression_ratio(original)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         original_ratio = helper.submit(compression_ratio, original)
-        return compression_ratio(serialize_rows(distort(sample, rng))) - original_ratio.result()
+        distorted = serialize_rows(distort(sample, rng, original))
+        return compression_ratio(distorted) - original_ratio.result()
 
 
 def sample_measure_functions(names: Iterable[str], is_count_values: bool) -> dict[str, MeasureFn]:

@@ -130,6 +130,8 @@ def test_load_config_names_the_file_in_its_errors(tmp_path, line, message):
         (MINIMAL + "jobs = -2\n", "jobs must be >= 1"),
         (MINIMAL + "measures = ttr,ttr\n", "config key measures: names listed twice ['ttr']"),
         (MINIMAL + "measures =\n", "config key measures: expected at least one measure name"),
+        # A blank path would name the config's own directory.
+        ("manifest = m.tsv\nout =\n", "config key out: expected a path, got ''"),
     ],
 )
 def test_error_messages(text, message):

@@ -249,9 +249,8 @@ def test_sentence_permutation_leaves_bag_measures_unchanged(permutation_seed):
 
 
 def sample_char_model(sample):
-    """The character model of the sample's word types and their token counts."""
-    types, counts = np.unique(sample.treebank.form_ids[sample.tokens], return_counts=True)
-    return char_unigram_model(sample.treebank, types, counts)
+    """The character model of the sample's text."""
+    return char_unigram_model(serialize_sample(sample))
 
 
 class TestCharUnigramModel:
@@ -279,21 +278,21 @@ class TestDistort:
 
     def test_length_preserved(self):
         sample = self.sample()
-        rows = distort(sample, np.random.default_rng(0))
+        rows = distort(sample, np.random.default_rng(0), serialize_sample(sample))
         originals = sample_forms(sample)
         replaced = [w for row in rows for w in row]
         assert [len(w) for w in replaced] == [len(w) for w in originals]
 
     def test_type_consistent_mapping(self):
         sample = self.sample()
-        rows = distort(sample, np.random.default_rng(0))
+        rows = distort(sample, np.random.default_rng(0), serialize_sample(sample))
         mapping = {}
         for form, rep in zip(sample_forms(sample), (w for row in rows for w in row)):
             assert mapping.setdefault(form, rep) == rep
 
     def test_injective(self):
         sample = self.sample()
-        rows = distort(sample, np.random.default_rng(0))
+        rows = distort(sample, np.random.default_rng(0), serialize_sample(sample))
         mapping = {}
         for form, rep in zip(sample_forms(sample), (w for row in rows for w in row)):
             mapping[form] = rep
@@ -301,13 +300,13 @@ class TestDistort:
 
     def test_distorted_ttr_unchanged(self):
         sample = self.sample()
-        rows = distort(sample, np.random.default_rng(1))
+        rows = distort(sample, np.random.default_rng(1), serialize_sample(sample))
         replaced = [w for row in rows for w in row]
         assert len(set(replaced)) / len(replaced) == ttr(sample)
 
     def test_no_delimiters_in_replacements(self):
         sample = self.sample()
-        rows = distort(sample, np.random.default_rng(2))
+        rows = distort(sample, np.random.default_rng(2), serialize_sample(sample))
         for row in rows:
             for w in row:
                 assert not set(w) & {" ", "\n", "\r", "\t"}
@@ -316,7 +315,7 @@ class TestDistort:
         # Two one-letter types over a one-letter-dominated model collide often.
         tokens = [make_token(f) for f in ("a", "b")] + [make_token("a")] * 50
         sample = make_sample([tokens])
-        rows = distort(sample, np.random.default_rng(0))
+        rows = distort(sample, np.random.default_rng(0), serialize_sample(sample))
         flat = [w for row in rows for w in row]
         assert flat[0] != flat[1]
 
@@ -325,7 +324,7 @@ class TestDistort:
         # the "a" that the earlier type "b" drew.
         sample = make_sample([[make_token("b")] + [make_token("a")] * 2000])
         with caplog.at_level("WARNING", logger="morphcomplex.measures"):
-            rows = distort(sample, np.random.default_rng(0))
+            rows = distort(sample, np.random.default_rng(0), serialize_sample(sample))
         assert rows[0][:2] == ["a", "b"]
         assert set(rows[0][1:]) == {"b"}
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["distort"]
@@ -378,9 +377,10 @@ class TestWordStructure:
         long = [len(serialize_sample(s)) >= _OVERLAP_MIN_CHARS for s in samples]
         assert long == [False, False, True, True, True, False, True]
         for sample in samples:
+            text = serialize_sample(sample)
             expected = compression_ratio(
-                serialize_rows(distort(sample, np.random.default_rng(seed)))
-            ) - compression_ratio(serialize_sample(sample))
+                serialize_rows(distort(sample, np.random.default_rng(seed), text))
+            ) - compression_ratio(text)
             assert word_structure_information(sample, np.random.default_rng(seed)) == expected
 
     def test_long_sample_values_pinned(self):

@@ -921,8 +921,12 @@ def test_unknown_script_exclude_id_rejected(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("wals", ["", "."], ids=["blank", "directory"])
-def test_wals_path_must_be_a_file(tmp_path, caplog, wals):
+@pytest.mark.parametrize(
+    "wals, error",
+    [("", "config key wals: expected a path, got ''"), (".", "config key wals: not a file: ")],
+    ids=["blank", "directory"],
+)
+def test_wals_path_must_be_a_file(tmp_path, caplog, wals, error):
     """Checked before the first treebank is measured, not by ``analyze``
     after the whole measure stage."""
     config = write_release(tmp_path)
@@ -930,7 +934,7 @@ def test_wals_path_must_be_a_file(tmp_path, caplog, wals):
     (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
     assert cli.main(["run-all", "--config", config]) == 1
     [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert message.startswith("config key wals: not a file: ")
+    assert message.removeprefix(f"{config}: ").startswith(error)
     assert not (tmp_path / "out").exists()
 
 

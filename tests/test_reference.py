@@ -155,27 +155,59 @@ def test_lemmaless_and_featureless_samples_unavailable_in_both():
     assert extract_instances(sample) == ref.extract_instances(ref_sample) == []
 
 
+def odd_conllu(seed: int, n_sentences: int = 300) -> str:
+    """CoNLL-U whose forms hold an inner space, a lone carriage return, Greek
+    and CJK letters and ``_``; a few forms are ``_`` alone, the empty form."""
+    rng = np.random.default_rng(seed)
+    ends = ("", " b", "\rc", "λόγος", "漢字", "_d", "x_")
+    lines = []
+    for _ in range(n_sentences):
+        for i in range(1, int(rng.integers(1, 12)) + 1):
+            form = f"stem{int(rng.zipf(1.5)) % 50:02d}{ends[rng.integers(len(ends))]}"
+            form = "_" if rng.random() < 0.03 else form
+            lines.append(f"{i}\t{form}\tl\tX\t_\t_\t0\tdep\t_\t_")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+# Only delimiter characters: the character model falls back to ("x",).
+DELIMITER_FORMS = "1\t \tl\tX\t_\t_\t0\tdep\t_\t_\n2\t\r\tl\tX\t_\t_\t0\tdep\t_\t_\n"
+
+
+def both_from_tokens(text: str):
+    """``text`` parsed, and the reference treebank of the same tokens: the
+    reference parser would end a line at a lone carriage return."""
+    tb = parse_conllu(text, "tb")
+    return tb, ref.Treebank.build("tb", "xx", tuple(map(ref.Sentence, map(tuple, treebank_tokens(tb)))))
+
+
 def test_char_model_matches_reference_exactly():
-    tb, ref_tb = both(random_conllu(7))
-    sample = bootstrap_sample(tb, 2000, np.random.default_rng(1))
-    ref_sample = ref.bootstrap_sample(ref_tb, 2000, np.random.default_rng(1))
-    types, counts = np.unique(tb.form_ids[sample.tokens], return_counts=True)
-    chars, probabilities = measures.char_unigram_model(tb, types, counts)
-    ref_model = ref.char_unigram_model(ref_sample)
-    assert chars == ref_model.chars
-    assert np.array_equal(probabilities, ref_model.probabilities)
+    """Also on odd forms, and on forms of delimiters alone, which fall back to ("x",)."""
+    for (tb, ref_tb), target, fallback in (
+        (both(random_conllu(7)), 2000, False),
+        (both_from_tokens(odd_conllu(0)), 2000, False),
+        (both_from_tokens(DELIMITER_FORMS), 50, True),
+    ):
+        sample = bootstrap_sample(tb, target, np.random.default_rng(1))
+        ref_sample = ref.bootstrap_sample(ref_tb, target, np.random.default_rng(1))
+        chars, probabilities = measures.char_unigram_model(measures.serialize_sample(sample))
+        ref_model = ref.char_unigram_model(ref_sample)
+        assert chars == ref_model.chars
+        assert np.array_equal(probabilities, ref_model.probabilities)
+        assert (chars == ("x",)) == fallback
 
 
 def test_distort_matches_reference_when_no_type_collides():
     """One draw of every type's characters takes the same uniforms as one
-    draw per type, so without collisions the two mappings agree."""
+    draw per type, so without collisions the two mappings agree; also on
+    odd forms."""
     text = conllu_text(suffixing_sentences(seed=3, n_lemmas=40, n_cells=6, n_keys=3, n_tokens=1500))
-    tb, ref_tb = both(text)
-    sample = bootstrap_sample(tb, 1000, np.random.default_rng(2))
-    ref_sample = ref.bootstrap_sample(ref_tb, 1000, np.random.default_rng(2))
-    for seed in range(5):
-        rows = measures.distort(sample, np.random.default_rng(seed))
-        assert rows == ref.distort(ref_sample, np.random.default_rng(seed))
-    assert measures.word_structure_information(sample, np.random.default_rng(9)) == (
-        ref.word_structure_information(ref_sample, np.random.default_rng(9))
-    )
+    for tb, ref_tb in (both(text), both_from_tokens(odd_conllu(1))):
+        sample = bootstrap_sample(tb, 1000, np.random.default_rng(2))
+        ref_sample = ref.bootstrap_sample(ref_tb, 1000, np.random.default_rng(2))
+        for seed in range(5):
+            rows = measures.distort(sample, np.random.default_rng(seed), measures.serialize_sample(sample))
+            assert rows == ref.distort(ref_sample, np.random.default_rng(seed))
+        assert measures.word_structure_information(sample, np.random.default_rng(9)) == (
+            ref.word_structure_information(ref_sample, np.random.default_rng(9))
+        )

@@ -1,6 +1,6 @@
 """A dataclass field that nothing reads is a value the program stores for
-no one, and a private function that nothing calls is code kept for its
-tests alone."""
+no one, a private function that nothing calls is code kept for its tests
+alone, and an import that nothing loads is left over from deleted code."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,15 @@ def private_functions(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name[:1] == "_" and node.name[:2] != "__":
             yield node.name
+
+
+def imported_names(tree: ast.Module):
+    """The names that the import statements of ``tree`` bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
 
 
 def names_loaded(tree: ast.Module) -> set[str]:
@@ -84,3 +93,16 @@ def test_every_private_function_is_used():
     private = [(path.stem, name) for path in package for name in private_functions(trees[path])]
     assert private, "no private function found"
     assert [f"{module}.{name}" for module, name in private if name not in used] == []
+
+
+def test_every_import_is_used():
+    """Each name that a module of the package imports is loaded as a name in
+    that module; ``from __future__ import annotations`` binds none."""
+    imported, unused = 0, []
+    for path in sorted((ROOT / "src" / "morphcomplex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = list(imported_names(tree))
+        imported += len(names)
+        unused += [f"{path.stem}.{name}" for name in names if name not in names_loaded(tree)]
+    assert imported, "no import found"
+    assert unused == []
