@@ -205,8 +205,9 @@ def test_distort_matches_reference_when_no_type_collides():
     for tb, ref_tb in (both(text), both_from_tokens(odd_conllu(1))):
         sample = bootstrap_sample(tb, 1000, np.random.default_rng(2))
         ref_sample = ref.bootstrap_sample(ref_tb, 1000, np.random.default_rng(2))
+        text = measures.serialize_sample(sample)
         for seed in range(5):
-            rows = measures.distort(sample, np.random.default_rng(seed), measures.serialize_sample(sample))
+            rows = measures.distort(sample, np.random.default_rng(seed), text)
             assert rows == ref.distort(ref_sample, np.random.default_rng(seed))
         assert measures.word_structure_information(sample, np.random.default_rng(9)) == (
             ref.word_structure_information(ref_sample, np.random.default_rng(9))
