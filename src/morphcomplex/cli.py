@@ -19,12 +19,12 @@ log = logging.getLogger("morphcomplex")
 def _add_options(parser: argparse.ArgumentParser, measures: bool):
     """``--config`` and ``--out``, plus the run overrides when the command measures."""
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("--out", help="override the output directory")
     if measures:
-        parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-        parser.add_argument("--jobs", type=int, default=None, help="worker processes for the measure stage")
-        parser.add_argument("--target-tokens", type=int, default=None, help="override sample size")
-        parser.add_argument("--repetitions", type=int, default=None, help="override repetition count")
+        parser.add_argument("--seed", help="override the run seed")
+        parser.add_argument("--jobs", help="worker processes for the measure stage")
+        parser.add_argument("--target-tokens", help="override sample size")
+        parser.add_argument("--repetitions", help="override repetition count")
 
 
 def build_parser() -> argparse.ArgumentParser:

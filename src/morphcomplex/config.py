@@ -1,9 +1,9 @@
 """Run configuration: a flat key = value text file plus CLI overrides.
 
 Each config key is the ``RunConfig`` field of the same name, and each
-command-line override replaces that field.  Every range and choice check
-lives in ``RunConfig.__post_init__``, so a value from the file and one from
-an override pass the same checks.
+command-line override replaces that field, read as that key in the file is
+(a relative path against the working directory).  Every range and choice
+check lives in ``RunConfig.__post_init__``, so both sources pass it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class RunConfig:
         for key, least in (
             ("target_tokens", 1), ("repetitions", 1), ("seed", 0), ("ia_draws", 1), ("jobs", 1),
         ):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be >= {least}")
+            if (value := getattr(self, key)) < least:
+                raise ValueError(f"config key {key}: expected an integer >= {least}, got {value!r}")
         if not self.measures:
             raise ValueError("config key measures: expected at least one measure name")
         unknown = [m for m in self.measures if m not in ALL_MEASURES]
@@ -123,6 +123,6 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def apply_overrides(config: RunConfig, **overrides: object) -> RunConfig:
-    """``config`` with every override that is not None replacing the field of its name."""
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+def apply_overrides(config: RunConfig, **overrides: str | None) -> RunConfig:
+    """``config`` with each override that is not None read as its key in the file."""
+    return replace(config, **{k: _value(k, v, "") for k, v in overrides.items() if v is not None})

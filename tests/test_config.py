@@ -93,7 +93,10 @@ def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("bogus = 1", "config line 3: unknown key 'bogus'"), ("jobs = 0", "jobs must be >= 1")],
+    [
+        ("bogus = 1", "config line 3: unknown key 'bogus'"),
+        ("jobs = 0", "config key jobs: expected an integer >= 1, got 0"),
+    ],
     ids=["parse", "field-check"],
 )
 def test_load_config_names_the_file_in_its_errors(tmp_path, line, message):
@@ -122,12 +125,12 @@ def test_load_config_names_the_file_in_its_errors(tmp_path, line, message):
             "config key wals_rows: expected 'per-treebank' or 'per-language', got 'per-family'",
         ),
         # Settings that would make every treebank fail, or quietly do something else.
-        (MINIMAL + "target_tokens = 0\n", "target_tokens must be >= 1"),
-        (MINIMAL + "repetitions = 0\n", "repetitions must be >= 1"),
-        (MINIMAL + "seed = -1\n", "seed must be >= 0"),
-        (MINIMAL + "ia_draws = 0\n", "ia_draws must be >= 1"),
-        (MINIMAL + "jobs = 0\n", "jobs must be >= 1"),
-        (MINIMAL + "jobs = -2\n", "jobs must be >= 1"),
+        (MINIMAL + "target_tokens = 0\n", "config key target_tokens: expected an integer >= 1, got 0"),
+        (MINIMAL + "repetitions = 0\n", "config key repetitions: expected an integer >= 1, got 0"),
+        (MINIMAL + "seed = -1\n", "config key seed: expected an integer >= 0, got -1"),
+        (MINIMAL + "ia_draws = 0\n", "config key ia_draws: expected an integer >= 1, got 0"),
+        (MINIMAL + "jobs = 0\n", "config key jobs: expected an integer >= 1, got 0"),
+        (MINIMAL + "jobs = -2\n", "config key jobs: expected an integer >= 1, got -2"),
         (MINIMAL + "measures = ttr,ttr\n", "config key measures: names listed twice ['ttr']"),
         (MINIMAL + "measures =\n", "config key measures: expected at least one measure name"),
         # A blank path would name the config's own directory.
@@ -141,7 +144,10 @@ def test_error_messages(text, message):
 
 @pytest.mark.parametrize(
     "override, message",
-    [({"seed": -1}, "seed must be >= 0"), ({"jobs": 0}, "jobs must be >= 1")],
+    [
+        ({"seed": -1}, "config key seed: expected an integer >= 0, got -1"),
+        ({"jobs": 0}, "config key jobs: expected an integer >= 1, got 0"),
+    ],
 )
 def test_overrides_are_checked_like_the_file(override, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -184,3 +190,14 @@ def test_readme_keys_fields_and_override_flags_agree():
         assert flags <= set(names), command
         overrides = {"out", "seed", "jobs", "target_tokens", "repetitions"}
         assert flags == (overrides if command in ("measure", "run-all") else {"out"}), command
+
+
+def test_no_flag_parses_its_own_value():
+    """``config`` reads every override as it reads the file, so argparse
+    only collects strings: a flag with a ``type`` would be a second parser."""
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for command, parser in commands.items():
+        typed = [a.dest for a in parser._actions if a.option_strings and a.type is not None]
+        assert typed == [], command

@@ -989,12 +989,19 @@ def test_measure_commands_take_every_override(command, tmp_path):
     assert (loaded.seed, loaded.target_tokens, loaded.repetitions) == (1, 30, 4)
 
 
-def test_invalid_override_exits_1(tmp_path, caplog):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--jobs", "0", "config key jobs: expected an integer >= 1, got 0"),
+        ("--jobs", "x", "config key jobs: expected an integer, got 'x'"),
+        ("--out", "", "config key out: expected a path, got ''"),
+    ],
+    ids=["jobs-0", "jobs-x", "blank-out"],
+)
+def test_invalid_override_exits_1(tmp_path, caplog, flag, value, message):
     config = write_release(tmp_path)
-    assert cli.main(["measure", "--config", config, "--jobs", "0"]) == 1
-    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
-        "jobs must be >= 1"
-    ]
+    assert cli.main(["measure", "--config", config, flag, value]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [message]
     assert not (tmp_path / "out").exists()
 
 
