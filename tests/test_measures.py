@@ -35,6 +35,7 @@ from synthdata import (
     matched_corpora,
     sample_forms,
     single_char_type_sample,
+    word_stream_sample,
 )
 
 
@@ -382,6 +383,18 @@ class TestWordStructure:
                 serialize_rows(distort(sample, np.random.default_rng(seed), text))
             ) - compression_ratio(text)
             assert word_structure_information(sample, np.random.default_rng(seed)) == expected
+
+    def test_non_ascii_fallback_value_pinned(self, caplog):
+        """ws on one-character types of Greek letters and one astral-plane
+        character, most tokens the astral one: three types exhaust the retry
+        budget, so ``_next_free`` wraps from the last code point to the first."""
+        forms = [*"αβγδεζηθικλ", "\U0001d538"]
+        weights = np.array([1] * 11 + [50]) / 61
+        sample = word_stream_sample(forms, np.random.default_rng(4).choice(12, 2000, p=weights))
+        with caplog.at_level("WARNING", logger="morphcomplex.measures"):
+            ws = word_structure_information(sample, np.random.default_rng(4))
+        assert len(caplog.records) == 3
+        assert ws == -0.00021544759237315803
 
     def test_long_sample_values_pinned(self):
         """ws on two 48,000-character samples, which take the helper-thread
