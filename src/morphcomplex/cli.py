@@ -56,14 +56,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        config = _load(args)
-    except (OSError, ValueError) as exc:
-        log.error("%s", exc)
-        return 1
-
     status = EXIT_OK
     try:
+        config = _load(args)
         if args.command in ("measure", "run-all"):
             outcomes = run_measure(config)
             n_failed = sum(bool(o.error) for o in outcomes)

@@ -42,14 +42,15 @@ class Treebank:
     Token ``i`` has form ``forms[form_ids[i]]``, lemma ``lemmas[lemma_ids[i]]``
     and canonical FEATS text ``bundles[bundle_ids[i]]``.  In both of those
     tables ID 0 is the empty marker, so ``!= 0`` tests for an annotation.
-    ``sentences`` holds each sentence's first token index.  Tables are in
-    first-occurrence order, so equal input gives equal IDs.
+    ``sentences`` holds each sentence's first token index.  Tables are object
+    arrays of ``str`` in first-occurrence order, so equal input gives equal
+    IDs and ``forms[ids]`` gathers the forms of many tokens at once.
     """
 
     id: str
-    forms: tuple[str, ...]
-    lemmas: tuple[str, ...]
-    bundles: tuple[str, ...]
+    forms: np.ndarray
+    lemmas: np.ndarray
+    bundles: np.ndarray
     form_ids: np.ndarray
     lemma_ids: np.ndarray
     bundle_ids: np.ndarray
@@ -69,11 +70,6 @@ class Treebank:
     def sentence_lengths(self) -> np.ndarray:
         """Tokens per sentence, computed on first use."""
         return np.diff(self.sentences, append=self.n_tokens)
-
-    @cached_property
-    def form_array(self) -> np.ndarray:
-        """``forms`` as an object array, to gather a sample's forms in one step."""
-        return np.array(self.forms, dtype=object)
 
     @cached_property
     def form_lengths(self) -> np.ndarray:
@@ -172,8 +168,9 @@ def _parse_lines(lines: Iterable[str], id: str, lowercase: bool) -> Treebank:
         raise ConlluParseError("no sentences found in input")
     if boundaries[-1] == len(form_ids):
         boundaries.pop()  # the blank line after the last sentence
+    tables = (np.fromiter(t, dtype=object, count=len(t)) for t in (forms, lemmas, bundles))
     ids = (np.array(col, dtype=np.int32) for col in (form_ids, lemma_ids, bundle_ids, boundaries))
-    return Treebank(id, tuple(forms), tuple(lemmas), tuple(bundles), *ids)
+    return Treebank(id, *tables, *ids)
 
 
 def read_text(path: str) -> str:

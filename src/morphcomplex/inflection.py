@@ -47,10 +47,8 @@ def extract_instances(sample: Sample) -> list[InflectionInstance]:
     keep = np.flatnonzero((lemma != 0) & (bundle != 0) & (tb.form_lengths[form] > 0))
     codes = (lemma[keep] * len(tb.bundles) + bundle[keep]) * len(tb.forms) + form[keep]
     first = keep[np.sort(np.unique(codes, return_index=True)[1])]
-    return [
-        InflectionInstance(tb.lemmas[l], tb.bundles[b], tb.forms[f])
-        for l, b, f in zip(lemma[first].tolist(), bundle[first].tolist(), form[first].tolist())
-    ]
+    columns = (tb.lemmas[lemma[first]], tb.bundles[bundle[first]], tb.forms[form[first]])
+    return [InflectionInstance(*cells) for cells in zip(*columns)]
 
 
 @dataclass(frozen=True, order=True)

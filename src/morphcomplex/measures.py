@@ -155,8 +155,8 @@ def feature_entropy(sample: Sample) -> float | None:
     return plugin_entropy(list(counts.values())) if counts else None
 
 
-def char_unigram_model(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The characters of ``text``, a serialized sample, in code-point order
+def char_unigram_model(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending uint32 code points of ``text``, a serialized sample,
     and their relative frequencies, delimiters excluded: the forms'
     characters weighted by token count."""
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
@@ -164,16 +164,16 @@ def char_unigram_model(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     keep = ~np.isin(alphabet, _DELIMITER_CODES)
     if not keep.any():
         # Degenerate sample whose forms are all delimiter characters.
-        return ("x",), np.ones(1)
+        return np.array([ord("x")], dtype=np.uint32), np.ones(1)
     counts = counts[keep]
-    return tuple(map(chr, alphabet[keep].tolist())), counts / counts.sum()
+    return alphabet[keep], counts / counts.sum()
 
 
-def _next_free(candidate: str, used: set[str], chars: tuple[str, ...]) -> str:
+def _next_free(candidate: str, used: set[str], chars: str) -> str:
     """Deterministic successor scan over same-length strings.
 
-    Treats the candidate as a base-N numeral over the sorted alphabet and
-    increments until an unused string appears (wrapping around).
+    Treats the candidate as a base-N numeral over the sorted alphabet
+    ``chars`` and increments until an unused string appears (wrapping around).
     """
     index = {c: i for i, c in enumerate(chars)}
     n = len(chars)
@@ -208,8 +208,7 @@ def distort(sample: Sample, rng: np.random.Generator, text: str) -> list[list[st
     """
     ids = sample.treebank.form_ids[sample.tokens]
     types, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    chars, probabilities = char_unigram_model(text)
-    codes = np.array([ord(c) for c in chars], dtype=np.uint32)
+    codes, probabilities = char_unigram_model(text)
     lengths = sample.treebank.form_lengths[types]
     replacement = [""] * len(types)
     used: set[str] = set()
@@ -229,6 +228,7 @@ def distort(sample: Sample, rng: np.random.Generator, text: str) -> list[list[st
             else:
                 used.add(cand)
         pending = collided
+    chars = codes.tobytes().decode("utf-32-le")
     for k in pending:
         replacement[k] = _next_free(replacement[k], used, chars)
         used.add(replacement[k])
@@ -247,7 +247,7 @@ def serialize_rows(rows: Iterable[Iterable[str]]) -> str:
 
 def serialize_sample(sample: Sample) -> str:
     tb = sample.treebank
-    return serialize_rows(sample.rows(tb.form_array[tb.form_ids[sample.tokens]].tolist()))
+    return serialize_rows(sample.rows(tb.forms[tb.form_ids[sample.tokens]].tolist()))
 
 
 def compression_ratio(text: str) -> float:

@@ -245,24 +245,8 @@ def _exclusions_cell(exclusions: tuple[str, ...]) -> str:
 
 
 def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
-    meta = {
-        "generator": "morphcomplex",
-        "seed": config.seed,
-        "target_tokens": config.target_tokens,
-        "repetitions": config.repetitions,
-        "compressor": COMPRESSOR_SETTING,
-    }
-    rows: list[list[object]] = []
-    for outcome in outcomes:
-        if outcome.error:
-            continue
-        for measure in config.measures:
-            # A measure excluded by rule was never computed.
-            stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
-            rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
-                         stats.n_repetitions, stats.available])
-    _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, MEASURES_COLUMNS, rows)
-
+    """Write the measure stage's files, ``measures.tsv`` last, so a stage
+    stopped before the end leaves no ``measures.tsv`` for ``analyze`` to read."""
     tb_rows = [
         [o.treebank_id, o.language_code, o.status, o.n_sentences, o.n_tokens, o.n_feature_keys,
          _exclusions_cell(o.exclusions), o.error.replace("\t", " ").replace("\n", " ") or "-"]
@@ -312,12 +296,27 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
     }
     _write_json(os.path.join(config.out, RUN_META_JSON), run_meta)
 
+    meta = {
+        "generator": "morphcomplex",
+        "seed": config.seed,
+        "target_tokens": config.target_tokens,
+        "repetitions": config.repetitions,
+        "compressor": COMPRESSOR_SETTING,
+    }
+    rows: list[list[object]] = []
+    for outcome in outcomes:
+        if outcome.error:
+            continue
+        for measure in config.measures:
+            # A measure excluded by rule was never computed.
+            stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
+            rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
+                         stats.n_repetitions, stats.available])
+    _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, MEASURES_COLUMNS, rows)
 
-def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], int]:
-    """Rebuild the treebank-by-measure matrix from the measure stage TSVs.
 
-    Returns the matrix, a treebank-to-language map, and the run seed.
-    """
+def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, int]:
+    """The treebank-by-measure matrix of ``measures.tsv``, and the run seed."""
     path = os.path.join(out_dir, MEASURES_TSV)
     meta, _, rows = _read_tsv(path, MEASURES_COLUMNS)
     if "seed" not in meta:
@@ -336,11 +335,7 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, dict[str, str], in
     measures = tuple(m for m in ALL_MEASURES if any((tb, m) in cells for tb in tb_order))
     values = np.array([[cells.get((tb, m), math.nan) for m in measures] for tb in tb_order])
     values = values.reshape(len(tb_order), len(measures))  # also when either is empty
-    matrix = MeasureMatrix(tuple(tb_order), measures, values)
-
-    _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV), TREEBANKS_COLUMNS[:2])
-    languages = {row[0]: row[1] for row in tb_rows}
-    return matrix, languages, seed
+    return MeasureMatrix(tuple(tb_order), measures, values), seed
 
 
 def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
@@ -350,7 +345,9 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     """
     from .wals import encode, load_wals, match_rows
 
-    matrix, languages, seed = read_measure_matrix(out_dir)
+    matrix, seed = read_measure_matrix(out_dir)
+    _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV), TREEBANKS_COLUMNS[:2])
+    languages = {row[0]: row[1] for row in tb_rows}
     _remove_outputs(out_dir, "analyze")
     wals_table = None
     if config.wals is not None:  # before any output, so a bad file leaves none
@@ -451,7 +448,7 @@ def run_plot(out_dir: str) -> list[str]:
         written.append(os.path.join(out_dir, name))
         _write_atomic(written[-1], svg)
 
-    matrix, _, seed = read_measure_matrix(out_dir)
+    matrix, seed = read_measure_matrix(out_dir)
     _remove_outputs(out_dir, "plot")
     write(MEASURES_SVG, svgplot.measure_panels(matrix, seed=seed))
 

@@ -145,8 +145,9 @@ def test_error_messages(text, message):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"seed": -1}, "config key seed: expected an integer >= 0, got -1"),
-        ({"jobs": 0}, "config key jobs: expected an integer >= 1, got 0"),
+        ({"seed": "-1"}, "config key seed: expected an integer >= 0, got -1"),
+        ({"jobs": "0"}, "config key jobs: expected an integer >= 1, got 0"),
+        ({"lowercase": "maybe"}, "config key lowercase: expected a boolean, got 'maybe'"),
     ],
 )
 def test_overrides_are_checked_like_the_file(override, message):
@@ -157,11 +158,14 @@ def test_overrides_are_checked_like_the_file(override, message):
 def test_apply_overrides_changes_only_given_values():
     config = parse_config(MINIMAL + "seed = 4\nrepetitions = 9\njobs = 2\n", BASE)
     assert apply_overrides(config) == config
-    changed = apply_overrides(config, seed=5, target_tokens=300, out="elsewhere")
-    assert changed == RunConfig(
-        manifest=config.manifest, out="elsewhere", target_tokens=300, repetitions=9, seed=5, jobs=2
+    changed = apply_overrides(
+        config, seed="5", target_tokens="300", out="elsewhere", lowercase="yes"
     )
-    assert apply_overrides(config, jobs=1, repetitions=3, seed=None) == RunConfig(
+    assert changed == RunConfig(
+        manifest=config.manifest, out="elsewhere", target_tokens=300, repetitions=9, seed=5, jobs=2,
+        lowercase=True,
+    )
+    assert apply_overrides(config, jobs="1", repetitions="3", seed=None) == RunConfig(
         manifest=config.manifest, out=config.out, repetitions=3, seed=4, jobs=1
     )
 

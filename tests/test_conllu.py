@@ -265,7 +265,7 @@ class TestCanonicalBundle:
         text = one_token("Number=Sing|Case=Nom") + "\n" + one_token("Case=Nom|Number=Sing")
         tb = parse_conllu(text, "x")
         assert tb.bundle_ids.tolist() == [1, 1]
-        assert tb.bundles == (EMPTY_MARKER, "Case=Nom|Number=Sing")
+        assert tb.bundles.tolist() == [EMPTY_MARKER, "Case=Nom|Number=Sing"]
 
     def test_underscore_is_bundle_zero(self):
         tb = parse_conllu(one_token("Case=Nom") + "\n" + one_token("_"), "x")

@@ -260,14 +260,16 @@ class TestCharUnigramModel:
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_token_weighted_counts(self):
-        probs = dict(zip(*sample_char_model(words("ab", "ab", "cd"))))
-        assert probs["a"] == pytest.approx(2 / 6)
-        assert probs["c"] == pytest.approx(1 / 6)
+        codes, probabilities = sample_char_model(words("ab", "ab", "cd"))
+        probs = dict(zip(codes.tolist(), probabilities))
+        assert probs[ord("a")] == pytest.approx(2 / 6)
+        assert probs[ord("c")] == pytest.approx(1 / 6)
 
     def test_delimiters_excluded(self):
         sample = make_sample([[make_token("a b")]])  # rare space-in-form token
-        chars, _ = sample_char_model(sample)
-        assert " " not in chars
+        codes, _ = sample_char_model(sample)
+        assert codes.tolist() == [ord("a"), ord("b")]
+        assert ord(" ") not in codes
 
 
 class TestDistort:

@@ -173,7 +173,8 @@ def analyze_cut_measures(release, tmp_path, cut, config_lines="", wals=None):
 def reference_ridge_rows(out, wals_csv, per_language=False):
     """``ridge.tsv`` rows (target, n_rows, rmse, chosen_alphas) from one
     ``nested_loo_reference`` per target over that target's own rows."""
-    matrix, languages, _ = pipeline.read_measure_matrix(str(out))
+    matrix, _ = pipeline.read_measure_matrix(str(out))
+    languages = dict(row[:2] for row in pipeline._read_tsv(str(out / "treebanks.tsv"))[2])
     ids = np.array(matrix.treebank_ids)
     available, complete = matrix.available(), matrix.complete_rows()
     z = standardize(matrix.values[complete])
@@ -643,6 +644,17 @@ def test_plot_removes_figures_whose_tables_are_gone(release, tmp_path):
     assert sorted(os.listdir(out)) == ["measures.svg", "measures.tsv", "treebanks.tsv"]
 
 
+def test_plot_reads_no_treebanks_tsv(release, tmp_path):
+    """``plot`` draws from ``measures.tsv`` and the analysis tables alone."""
+    root, _, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out, ignore=shutil.ignore_patterns("treebanks.tsv"))
+    figures = ["measures.svg", "pca.svg", "wals_error.svg"]
+    assert pipeline.run_plot(str(out)) == [str(out / name) for name in figures]
+    for name in figures:
+        assert (out / name).read_bytes() == (root / "out" / name).read_bytes(), name
+
+
 def test_measure_removes_every_later_stages_outputs(release, tmp_path):
     """``plot`` after a new ``measure`` draws no figure from the earlier run's analysis."""
     root, config, _, _ = release
@@ -673,6 +685,27 @@ def test_stopped_measure_leaves_nothing_for_analyze(release, tmp_path, monkeypat
     assert os.listdir(out) == []
     assert cli.main(["analyze", "--config", config, "--out", str(out)]) == 1
     assert os.listdir(out) == []
+
+
+def test_measure_stopped_while_writing_leaves_nothing_for_analyze(release, tmp_path, monkeypatch):
+    """A stage stopped at ``run_meta.json`` has written no ``measures.tsv``."""
+    root, config, _, _ = release
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    original = pipeline._write_json
+
+    def stopped_at_run_meta(path, obj):
+        if os.path.basename(path) == "run_meta.json":
+            raise KeyboardInterrupt
+        original(path, obj)
+
+    monkeypatch.setattr(pipeline, "_write_json", stopped_at_run_meta)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["measure", "--config", config, "--out", str(out), "--seed", "8"])
+    left = ["ia_params.json", "treebanks.tsv"]
+    assert sorted(os.listdir(out)) == left
+    assert cli.main(["analyze", "--config", config, "--out", str(out)]) == 1
+    assert sorted(os.listdir(out)) == left
 
 
 def write_failure_release(root):

@@ -182,7 +182,7 @@ def both_from_tokens(text: str):
 
 
 def test_char_model_matches_reference_exactly():
-    """Also on odd forms, and on forms of delimiters alone, which fall back to ("x",)."""
+    """Also on odd forms, and on forms of delimiters alone, which fall back to ``ord("x")``."""
     for (tb, ref_tb), target, fallback in (
         (both(random_conllu(7)), 2000, False),
         (both_from_tokens(odd_conllu(0)), 2000, False),
@@ -190,11 +190,12 @@ def test_char_model_matches_reference_exactly():
     ):
         sample = bootstrap_sample(tb, target, np.random.default_rng(1))
         ref_sample = ref.bootstrap_sample(ref_tb, target, np.random.default_rng(1))
-        chars, probabilities = measures.char_unigram_model(measures.serialize_sample(sample))
+        codes, probabilities = measures.char_unigram_model(measures.serialize_sample(sample))
         ref_model = ref.char_unigram_model(ref_sample)
-        assert chars == ref_model.chars
+        assert codes.dtype == np.uint32
+        assert tuple(map(chr, codes.tolist())) == ref_model.chars
         assert np.array_equal(probabilities, ref_model.probabilities)
-        assert (chars == ("x",)) == fallback
+        assert (codes.tolist() == [ord("x")]) == fallback
 
 
 def test_distort_matches_reference_when_no_type_collides():
