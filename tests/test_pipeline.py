@@ -383,10 +383,14 @@ def drop_seed_line(lines):
         ("plot", "pca_scores.tsv", first_row_cell_set(2, "abc"), "row tb0: cannot read 'abc' as float"),
         ("plot", "pca.tsv", first_row_cell_set(1, "abc"), "component 1: cannot read 'abc' as float"),
         ("plot", "ridge.tsv", first_row_cell_set(3, "abc"), "row ttr: cannot read 'abc' as float"),
+        ("analyze", "measures.tsv", first_row_cell_set(2, "inf"),
+         "row tb0/ttr: mean: cannot read 'inf' as float"),
+        ("plot", "pca_scores.tsv", first_row_cell_set(2, "nan"), "row tb0: cannot read 'nan' as float"),
+        ("plot", "ridge.tsv", first_row_cell_set(3, "-inf"), "row ttr: cannot read '-inf' as float"),
     ],
     ids=[
         "measures-seed", "measures-no-seed", "plot-no-seed", "measures-mean", "pca-scores",
-        "pca-ratio", "ridge",
+        "pca-ratio", "ridge", "measures-inf", "pca-scores-nan", "ridge-minus-inf",
     ],
 )
 def test_unreadable_number_names_its_file_and_row(release, tmp_path, caplog, command, name, edit, where):
@@ -394,6 +398,20 @@ def test_unreadable_number_names_its_file_and_row(release, tmp_path, caplog, com
     with caplog.at_level(logging.ERROR):
         assert cli.main([command, "--config", str(config)]) == 1
     assert f"{out / name}: {where}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["analyze", "plot"])
+def test_repeated_measure_row_names_its_file_and_row(release, tmp_path, caplog, command):
+    """A ``tb0``/``ttr`` row listed twice is an error, whether or not the
+    copies agree; a later one must not replace the first unseen."""
+    def repeat_first_row(lines):
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        return [*lines[: row + 1], *lines[row:]]
+
+    out, config = copy_outputs_with(release, tmp_path, "measures.tsv", repeat_first_row)
+    with caplog.at_level(logging.ERROR):
+        assert cli.main([command, "--config", str(config)]) == 1
+    assert f"{out / 'measures.tsv'}: row tb0/ttr: listed twice" in caplog.text
 
 
 def test_plot_rejects_pca_tsv_with_one_component(release, tmp_path, caplog):
