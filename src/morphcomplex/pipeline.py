@@ -149,11 +149,11 @@ def _read_tsv(
 
 
 def _parse(kind: type, text: str, path: str, where: str):
-    """``kind(text)``, or a ``ValueError`` naming ``path`` and ``where``."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{path}: {where}: cannot read {text!r} as {kind.__name__}") from None
+    """``kind(text)`` if it is finite, else a ``ValueError`` naming ``path`` and ``where``."""
+    with contextlib.suppress(ValueError):
+        if -math.inf < (value := kind(text)) < math.inf:  # false for nan too
+            return value
+    raise ValueError(f"{path}: {where}: cannot read {text!r} as {kind.__name__}")
 
 
 @dataclass
@@ -323,8 +323,12 @@ def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, int]:
         raise ValueError(f"{path}: no '# seed:' line")
     seed = _parse(int, meta["seed"], path, "# seed")
     cells: dict[tuple[str, str], float] = {}
+    listed: set[tuple[str, str]] = set()
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]
+        if (tb_id, measure) in listed:
+            raise ValueError(f"{path}: row {tb_id}/{measure}: listed twice")
+        listed.add((tb_id, measure))
         if row[5] not in ("true", "false"):
             raise ValueError(
                 f"{path}: row {tb_id}/{measure}: available is {row[5]!r}, not true or false"
