@@ -91,14 +91,12 @@ def _t_significant(r: float, n: int) -> bool:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, bool]:
-    """Sample Pearson r with a p < 0.05 flag.
+    """Sample Pearson r of two equal-length vectors with a p < 0.05 flag.
 
     Returns (nan, False) when either input has zero variance.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("x and y must be 1-d vectors of equal length")
     n = len(xa)
     if n < 3:
         raise ValueError("need at least 3 observations")
@@ -167,7 +165,7 @@ def standardize(matrix: np.ndarray, column_names: Sequence[str] | None = None) -
 
 
 def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
-    """Principal components of the centered matrix via SVD.
+    """Principal components of the centered 2-d matrix via SVD.
 
     Components with singular values at rounding level are dropped.
     Explained ratios are singular values squared over their sum.  Each
@@ -176,8 +174,6 @@ def pca(matrix: np.ndarray, orient_column: int = 0) -> PcaResult:
     reproducible across linear-algebra backends.
     """
     x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a 2-d matrix with at least 2 rows")
     centered = x - x.mean(axis=0)
     if not np.any(np.abs(centered) > 1e-12):
         raise ValueError("degenerate input: all rows are equal")
@@ -202,7 +198,7 @@ def ridge_loocv(
 ) -> RidgeReport:
     """Nested leave-one-out evaluation of ridge regression on each target.
 
-    ``targets`` is rows x targets; a 1-d target is one column.  For each
+    ``targets`` is rows x targets, a row per design row; a 1-d target is one column.  For each
     held-out row and each target the penalty is chosen by an inner
     leave-one-out over the remaining rows (ties go to the earlier grid
     entry), the model is refit without the held-out row and used to predict
@@ -232,13 +228,9 @@ def ridge_loocv(
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    if x.ndim != 2 or y.ndim != 2 or len(y) != x.shape[0]:
-        raise ValueError("design and target shapes do not match")
     n = len(y)
     if n < 3:
         raise ValueError("need at least 3 rows for leave-one-out evaluation")
-    if len(alpha_grid) == 0:
-        raise ValueError("alpha_grid must be nonempty")
 
     grid = np.asarray(alpha_grid, dtype=float)
     predictions = np.empty(y.shape)

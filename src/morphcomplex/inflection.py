@@ -190,26 +190,25 @@ def train(
         raise ValueError("empty training set")
     n, n_classes = len(labels), int(labels.max()) + 1
     dual = np.zeros((n, n_classes), dtype=np.int64)
-    if n_classes > 1:
-        scores = np.zeros((n_classes, n), dtype=np.int64)
-        for epoch in range(params.epochs):
-            order = rng.permutation(n)
-            gold = labels[order]
-            pos = 0
-            while pos < n:
-                predicted = scores[:, order[pos : pos + _BLOCK]].argmax(axis=0)
-                wrong = predicted != gold[pos : pos + _BLOCK]
-                k = int(wrong.argmax())
-                if not wrong[k]:
-                    pos += len(predicted)
-                    continue
-                j, g, c = int(order[pos + k]), int(gold[pos + k]), int(predicted[k])
-                scores[g] += gram[j]
-                scores[c] -= gram[j]
-                pos += k + 1
-                left = (params.epochs - epoch) * n - pos  # T - t
-                dual[j, g] += left
-                dual[j, c] -= left
+    scores = np.zeros((n_classes, n), dtype=np.int64)
+    for epoch in range(params.epochs):
+        order = rng.permutation(n)
+        gold = labels[order]
+        pos = 0
+        while pos < n:
+            predicted = scores[:, order[pos : pos + _BLOCK]].argmax(axis=0)
+            wrong = predicted != gold[pos : pos + _BLOCK]
+            k = int(wrong.argmax())
+            if not wrong[k]:
+                pos += len(predicted)
+                continue
+            j, g, c = int(order[pos + k]), int(gold[pos + k]), int(predicted[k])
+            scores[g] += gram[j]
+            scores[c] -= gram[j]
+            pos += k + 1
+            left = (params.epochs - epoch) * n - pos  # T - t
+            dual[j, g] += left
+            dual[j, c] -= left
     return dual
 
 

@@ -89,8 +89,6 @@ def _lemmatized(sample: Sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def ttr(sample: Sample) -> float:
     """Distinct word forms divided by running tokens."""
-    if sample.n_tokens == 0:
-        raise ValueError("empty sample")
     return len(_counts(sample.treebank.form_ids[sample.tokens])) / sample.n_tokens
 
 

@@ -92,14 +92,12 @@ def bootstrap_sample(treebank: Treebank, target_tokens: int, rng: np.random.Gene
     """Draw sentences uniformly with replacement until the token budget.
 
     The final sentence is truncated so the sample holds exactly
-    ``target_tokens`` tokens; order inside each sentence is preserved.
+    ``target_tokens`` (>= 1) tokens; order inside each sentence is preserved.
     ``rng`` makes exactly one draw per drawn sentence: each round draws as
     many sentences as the budget still needs if every one is the longest.
     """
     if len(treebank.sentences) == 0 or treebank.n_tokens == 0:
         raise ValueError(f"treebank {treebank.id}: cannot sample from an empty treebank")
-    if target_tokens < 1:
-        raise ValueError("target_tokens must be >= 1")
     sizes = treebank.sentence_lengths
     longest = int(sizes.max())
     rounds = []

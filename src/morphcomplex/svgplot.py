@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import logging
 from html import escape
 
 import numpy as np
 
 from .analysis import MeasureMatrix
-
-log = logging.getLogger(__name__)
 
 
 def _num(x: float) -> str:
@@ -60,18 +57,15 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def measure_panels(matrix: MeasureMatrix, seed: int = 0) -> str:
+def measure_panels(matrix: MeasureMatrix, seed: int) -> str:
     """One panel per measure: treebanks sorted by value, dots plus labels,
-    and a vertical gray line at the mean.  Empty columns are omitted."""
+    and a vertical gray line at the mean."""
     panels: list[tuple[str, list[tuple[str, float]]]] = []
     for j, measure in enumerate(matrix.measures):
         col = matrix.values[:, j]
         present = [
             (tb, float(v)) for tb, v in zip(matrix.treebank_ids, col) if not np.isnan(v)
         ]
-        if not present:
-            log.info("measure_panels: no values for %s; panel omitted", measure)
-            continue
         present.sort(key=lambda item: (item[1], item[0]))
         panels.append((measure, present))
 
@@ -118,7 +112,7 @@ def pca_scatter(
     labels: list[str],
     ratio_x: float,
     ratio_y: float,
-    seed: int = 0,
+    seed: int,
 ) -> str:
     """Scatter of the first two component scores with treebank labels."""
     width, height = 640.0, 480.0
@@ -137,7 +131,7 @@ def pca_scatter(
     return _document(width, height, body, seed)
 
 
-def error_reduction_bars(names: list[str], values: list[float], seed: int = 0) -> str:
+def error_reduction_bars(names: list[str], values: list[float], seed: int) -> str:
     """Bar chart of WALS prediction error reduction per target."""
     bar_w, gap, pad = 44.0, 18.0, 56.0
     width = pad * 2 + len(names) * (bar_w + gap)
