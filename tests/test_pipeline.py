@@ -414,6 +414,29 @@ def test_repeated_measure_row_names_its_file_and_row(release, tmp_path, caplog, 
     assert f"{out / 'measures.tsv'}: row tb0/ttr: listed twice" in caplog.text
 
 
+def test_constant_measure_dots_drawn_at_panel_middle(release, tmp_path):
+    """A measure with one mean for every treebank has no range to scale, so
+    each dot and the mean line sit halfway between the panel's two axis ends."""
+    def constant_ws(lines):
+        return set_means("\n".join(lines), "ws", "0.5").splitlines()
+
+    out, config = copy_outputs_with(release, tmp_path, "measures.tsv", constant_ws)
+    assert cli.main(["plot", "--config", str(config)]) == 0
+    svg = (out / "measures.svg").read_text(encoding="utf-8").splitlines()
+    start = svg.index(next(x for x in svg if x.endswith('font-weight="bold">ws</text>')))
+    # The mean line, a label and a dot per treebank, then the axis ends.
+    panel = svg[start + 1 : start + 2 * N_TREEBANKS + 4]
+    assert [x for x in panel if x.endswith(">0.5</text>")] == panel[-2:]
+    lo_end, hi_end = (float(re.search(r' x="([\d.]+)"', x)[1]) for x in panel[-2:])
+    drawn = [
+        re.search(r' (?:cx|x1)="([\d.]+)"', x)[1]
+        for x in panel
+        if x.startswith(("<circle", "<line"))
+    ]
+    assert len(drawn) == N_TREEBANKS + 1
+    assert set(map(float, drawn)) == {(lo_end + hi_end) / 2}
+
+
 def test_plot_rejects_pca_tsv_with_one_component(release, tmp_path, caplog):
     """Two score columns beside one component row is a cut ``pca.tsv``."""
     def keep_first_row(lines):
@@ -861,6 +884,30 @@ def test_invalid_utf8_fails_only_its_treebank(tmp_path):
         "ConlluParseError: line 3: invalid UTF-8 (invalid start byte)"
     ]
     assert [r[0] for r in rows if r[2] == "ok"] == [f"tb{i}" for i in range(N_TREEBANKS) if i != 3]
+
+
+def test_run_all_with_no_measured_treebank_draws_no_data(tmp_path):
+    """A manifest whose one treebank fails to parse: measure reports it,
+    analyze records why PCA was skipped and plot draws the "no data" figure."""
+    (tmp_path / "bad.conllu").write_text("# sent_id = 1\n1\tonly-two\n", encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text("bad\tl0\tbad.conllu\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text("manifest = manifest.tsv\nout = out\nseed = 7\n", encoding="utf-8")
+    assert cli.main(["run-all", "--config", str(config)]) == 2
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == [
+        "analyze_meta.json", "correlations.tsv", "ia_params.json", "measures.svg",
+        "measures.tsv", "run_meta.json", "treebanks.tsv",
+    ]
+    meta = json.loads((out / "analyze_meta.json").read_text(encoding="utf-8"))
+    assert meta["errors"] == {"pca": "only 0 treebanks have all of (); need >= 2"}
+    assert (out / "measures.svg").read_text(encoding="utf-8") == "\n".join([
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 200 60" width="200" height="60">',
+        "<!-- seed: 7 -->",
+        '<rect x="0" y="0" width="200" height="60" fill="white"/>',
+        '<text x="10" y="30">no data</text>',
+        "</svg>\n",
+    ])
 
 
 def fresh_python(code, *args, env=None):

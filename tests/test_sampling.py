@@ -69,7 +69,8 @@ class TestBootstrapSample:
 
     def test_empty_treebank_rejected(self):
         no_ids = np.zeros(0, dtype=np.int32)
-        empty = Treebank("empty", (), ("",), ((),), no_ids, no_ids, no_ids, no_ids)
+        no_forms, marker_only = np.array([], dtype=object), np.array([""], dtype=object)
+        empty = Treebank("empty", no_forms, marker_only, marker_only, no_ids, no_ids, no_ids, no_ids)
         with pytest.raises(ValueError):
             bootstrap_sample(empty, 10, np.random.default_rng(0))
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,12 @@ class TestLoadWals:
         """A row that ends before the language column has an empty code."""
         assert load_wals("22A,iso_code\n6\n7,fi\n", ["22A"]) == {"fi": {"22A": "7"}}
         assert "skipping row with empty language code" in caplog.text
+
+    def test_row_of_empty_cells_skipped_without_warning(self, caplog):
+        """Rows of empty or blank cells, as spreadsheet exports leave, name no language."""
+        with caplog.at_level(logging.WARNING):
+            assert load_wals("iso_code,22A\n , \nfi,6\n,\n", ["22A"]) == {"fi": {"22A": "6"}}
+        assert caplog.records == []
 
     def test_empty_csv_rejected(self):
         with pytest.raises(ValueError):
