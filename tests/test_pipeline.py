@@ -423,7 +423,7 @@ def test_constant_measure_dots_drawn_at_panel_middle(release, tmp_path):
     out, config = copy_outputs_with(release, tmp_path, "measures.tsv", constant_ws)
     assert cli.main(["plot", "--config", str(config)]) == 0
     svg = (out / "measures.svg").read_text(encoding="utf-8").splitlines()
-    start = svg.index(next(x for x in svg if x.endswith('font-weight="bold">ws</text>')))
+    start = next(i for i, x in enumerate(svg) if x.endswith('font-weight="bold">ws</text>'))
     # The mean line, a label and a dot per treebank, then the axis ends.
     panel = svg[start + 1 : start + 2 * N_TREEBANKS + 4]
     assert [x for x in panel if x.endswith(">0.5</text>")] == panel[-2:]
