@@ -400,18 +400,41 @@ def test_unreadable_number_names_its_file_and_row(release, tmp_path, caplog, com
     assert f"{out / name}: {where}" in caplog.text
 
 
-@pytest.mark.parametrize("command", ["analyze", "plot"])
-def test_repeated_measure_row_names_its_file_and_row(release, tmp_path, caplog, command):
-    """A ``tb0``/``ttr`` row listed twice is an error, whether or not the
-    copies agree; a later one must not replace the first unseen."""
-    def repeat_first_row(lines):
-        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
-        return [*lines[: row + 1], *lines[row:]]
+def repeat_first_row(lines):
+    """An ``edit`` that lists the first row under the header twice."""
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return [*lines[: row + 1], *lines[row:]]
 
-    out, config = copy_outputs_with(release, tmp_path, "measures.tsv", repeat_first_row)
+
+def drop_first_row(lines):
+    """An ``edit`` that removes the first row under the header."""
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return [*lines[:row], *lines[row + 1:]]
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, where",
+    [
+        ("analyze", "measures.tsv", repeat_first_row, "row tb0/ttr: listed twice"),
+        ("plot", "measures.tsv", repeat_first_row, "row tb0/ttr: listed twice"),
+        ("analyze", "measures.tsv", first_row_cell_set(1, "bogus"), "row tb0/bogus: unknown measure"),
+        ("plot", "measures.tsv", first_row_cell_set(1, "bogus"), "row tb0/bogus: unknown measure"),
+        ("analyze", "treebanks.tsv", repeat_first_row, "row tb0: listed twice"),
+        ("analyze", "treebanks.tsv", drop_first_row, "row tb0: missing; measures.tsv lists it"),
+    ],
+    ids=[
+        "measures-twice-analyze", "measures-twice-plot", "measures-bogus-analyze",
+        "measures-bogus-plot", "treebanks-twice", "treebanks-missing",
+    ],
+)
+def test_rejected_row_names_its_file_and_row(release, tmp_path, caplog, command, name, edit, where):
+    """A row listed twice, whether or not the copies agree, a measure of no
+    known name and a measured treebank with no ``treebanks.tsv`` row are
+    errors; none may drop or replace a row unseen."""
+    out, config = copy_outputs_with(release, tmp_path, name, edit)
     with caplog.at_level(logging.ERROR):
         assert cli.main([command, "--config", str(config)]) == 1
-    assert f"{out / 'measures.tsv'}: row tb0/ttr: listed twice" in caplog.text
+    assert f"{out / name}: {where}" in caplog.text
 
 
 def test_constant_measure_dots_drawn_at_panel_middle(release, tmp_path):
