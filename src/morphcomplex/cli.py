@@ -60,16 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load(args)
         if args.command in ("measure", "run-all"):
-            outcomes = run_measure(config)
-            n_failed = sum(bool(o.error) for o in outcomes)
-            if n_failed:
+            if run_measure(config):
                 status = EXIT_PARTIAL
-            log.info(
-                "measure stage: %d ok, %d failed; outputs in %s",
-                len(outcomes) - n_failed,
-                n_failed,
-                config.out,
-            )
         if args.command in ("analyze", "run-all"):
             run_analyze(config.out, config)
         if args.command in ("plot", "run-all"):

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .analysis import (
 )
 from .config import RunConfig
 from .conllu import parse_conllu_file, read_manifest, read_text
-from .inflection import IAResult, IASearchConfig, cross_validate, extract_instances
+from .inflection import IASearchConfig, cross_validate, extract_instances
 from .measures import (
     ALL_MEASURES,
     COMPRESSOR_SETTING,
@@ -74,14 +73,15 @@ NA = "NA"
 
 def _cell(value: object) -> str:
     """One TSV cell: ``NA`` for None or NaN, ``true``/``false`` for a bool,
-    12 significant digits for a float, ``str`` of anything else."""
+    12 significant digits for a float, ``str`` of anything else with each
+    tab and line break made a space, so no cell splits its row."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return NA
     if isinstance(value, (bool, np.bool_)):  # before int: a bool is an int
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
-    return str(value)
+    return str(value).replace("\t", " ").replace("\n", " ")
 
 
 def _write_atomic(path: str, text: str):
@@ -118,12 +118,14 @@ def _write_tsv(path: str, meta: dict[str, object], header: Sequence[str], rows: 
 
 
 def _read_tsv(
-    path: str, columns: Sequence[str] = ()
+    path: str, columns: Sequence[str] = (), id_columns: int = 0
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """The ``# key: value`` lines, header and rows of a TSV whose header begins with ``columns``."""
+    """The ``# key: value`` lines, header and rows of a TSV whose header
+    begins with ``columns``; no two rows may share their first ``id_columns`` cells."""
     meta: dict[str, str] = {}
     header: list[str] = []
     rows: list[list[str]] = []
+    ids: set[tuple[str, ...]] = set()
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -141,7 +143,10 @@ def _read_tsv(
                 raise ValueError(
                     f"{path}: line {line_no}: expected {len(header)} columns, got {len(cells)}"
                 )
+            elif id_columns and tuple(cells[:id_columns]) in ids:
+                raise ValueError(f"{path}: row {'/'.join(cells[:id_columns])}: listed twice")
             else:
+                ids.add(tuple(cells[:id_columns]))
                 rows.append(cells)
     if tuple(header[: len(columns)]) != tuple(columns):
         raise ValueError(f"{path}: header {header} does not begin with the columns {list(columns)}")
@@ -156,71 +161,76 @@ def _parse(kind: type, text: str, path: str, where: str):
     raise ValueError(f"{path}: {where}: cannot read {text!r} as {kind.__name__}")
 
 
-@dataclass
-class TreebankOutcome:
-    treebank_id: str
-    language_code: str
-    n_sentences: int = 0
-    n_tokens: int = 0
-    n_feature_keys: int = 0
-    exclusions: tuple[str, ...] = ()  # keys of EXCLUDED_MEASURES
-    stats: dict[str, MeasureStats] = field(default_factory=dict)
-    ia: IAResult | None = None
-    error: str = ""  # set exactly when the treebank failed
-
-    @property
-    def status(self) -> str:
-        return "failed" if self.error else "ok"
+def _exclusions_cell(exclusions: tuple[str, ...]) -> str:
+    return ";".join(f"{r}:{'+'.join(EXCLUDED_MEASURES[r])}" for r in exclusions) or "-"
 
 
-def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankOutcome:
+# One treebank's treebanks.tsv row, measures.tsv rows and ia_params.json entry.
+TreebankRows = tuple[list[object], list[list[object]], dict[str, object] | None]
+
+
+def _measure_one(entry: tuple[str, str, str], config: RunConfig) -> TreebankRows:
     """Parse, exclude and score one manifest entry ``(id, language, path)``.
 
-    Any exception becomes a ``failed`` outcome that keeps the counts and
-    exclusions known before it, so one treebank cannot stop the others.
+    Returns its ``treebanks.tsv`` row, its ``measures.tsv`` rows and its
+    ``ia_params.json`` entry (``None`` without a ``neg_ia`` fit).  Any exception
+    makes a ``failed`` row that keeps the counts and exclusions known
+    before it, and no other rows, so one treebank cannot stop the others.
     """
     tb_id, lang, path = entry
-    outcome = TreebankOutcome(treebank_id=tb_id, language_code=lang)
+    counts = [0, 0, 0]
+    exclusions: tuple[str, ...] = ()
     try:
         treebank = parse_conllu_file(path, tb_id, lowercase=config.lowercase)
-        outcome.n_sentences = len(treebank.sentences)
-        outcome.n_tokens = treebank.n_tokens
-        outcome.n_feature_keys = treebank.n_feature_keys
-        outcome.exclusions = apply_exclusions(
-            treebank, config.min_feature_keys, config.script_exclude
-        )
-        excluded = {m for reason in outcome.exclusions for m in EXCLUDED_MEASURES[reason]}
+        counts = [len(treebank.sentences), treebank.n_tokens, treebank.n_feature_keys]
+        exclusions = apply_exclusions(treebank, config.min_feature_keys, config.script_exclude)
+        excluded = {m for reason in exclusions for m in EXCLUDED_MEASURES[reason]}
         sample_names = [m for m in config.measures if m != "neg_ia" and m not in excluded]
+        stats: dict[str, MeasureStats] = {}
         if sample_names:
             fns = sample_measure_functions(sample_names, is_count_values=config.is_unit == "pairs")
-            outcome.stats.update(run_repetitions(
+            stats = run_repetitions(
                 treebank, fns, config.target_tokens, config.repetitions, config.seed
-            ))
+            )
+        ia = None
         if "neg_ia" in config.measures and "neg_ia" not in excluded:
             rng = inflection_rng(config.seed, tb_id)
             sample = bootstrap_sample(treebank, config.target_tokens, rng)
             instances = extract_instances(sample)
             if len(instances) < IASearchConfig.n_folds:
-                outcome.stats["neg_ia"] = MeasureStats(None, None, 1)
+                stats["neg_ia"] = MeasureStats(None, None, 1)
             else:
-                outcome.ia = cross_validate(instances, config.ia_draws, rng)
-                outcome.stats["neg_ia"] = MeasureStats(-outcome.ia.mean_accuracy, 0.0, 1)
+                result = cross_validate(instances, config.ia_draws, rng)
+                stats["neg_ia"] = MeasureStats(-result.mean_accuracy, 0.0, 1)
+                ia = {
+                    "ngram_order": result.params.ngram_order,
+                    "epochs": result.params.epochs,
+                    "mean_accuracy": result.mean_accuracy,
+                    "fold_accuracies": list(result.fold_accuracies),
+                    "n_draws": config.ia_draws,
+                }
     except Exception as exc:  # isolate per-treebank failures
         error = f"{type(exc).__name__}: {exc}"
         debug = log.isEnabledFor(logging.DEBUG)
         log.error("treebank %s (%s) failed: %s", tb_id, path, error, exc_info=debug)
-        return replace(outcome, stats={}, ia=None, error=error)
-    return outcome
+        return [tb_id, lang, "failed", *counts, _exclusions_cell(exclusions), error], [], None
+    rows: list[list[object]] = []
+    for measure in config.measures:
+        # A measure excluded by rule was never computed.
+        st = stats.get(measure, MeasureStats(None, None, 0))
+        rows.append([tb_id, measure, st.mean, st.stddev, st.n_repetitions, st.available])
+    return [tb_id, lang, "ok", *counts, _exclusions_cell(exclusions), "-"], rows, ia
 
 
-def run_measure(config: RunConfig) -> list[TreebankOutcome]:
-    """Parse, exclude, sample and score every treebank in the manifest.
+def run_measure(config: RunConfig) -> int:
+    """Parse, exclude, sample and score every treebank in the manifest;
+    returns the number of treebanks that failed.
 
     Each manifest entry is one task, run in a worker when ``jobs > 1``.
-    Outcomes come back in manifest order; failures stay with their
-    treebank and are reported in ``treebanks.tsv``.  A ``script_exclude``
-    id that names no manifest treebank is an error, raised before ``out``
-    is created.
+    Rows are written in manifest order; failures stay with their treebank
+    and are reported in ``treebanks.tsv``.  A ``script_exclude`` id that
+    names no manifest treebank is an error, raised before ``out`` is
+    created.
     """
     config.validate_paths()
     entries = read_manifest(config.manifest)
@@ -233,43 +243,27 @@ def run_measure(config: RunConfig) -> list[TreebankOutcome]:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         # Fork starts every worker at the first submit: no more than there are tasks.
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(entries))) as pool:
-            outcomes = list(pool.map(_measure_one, entries, [config] * len(entries)))
+            results = list(pool.map(_measure_one, entries, [config] * len(entries)))
     else:
-        outcomes = [_measure_one(entry, config) for entry in entries]
-    _write_measure_outputs(outcomes, config)
-    return outcomes
+        results = [_measure_one(entry, config) for entry in entries]
+    _write_measure_outputs(results, config)
+    n_failed = sum(tb_row[2] == "failed" for tb_row, _, _ in results)
+    n_ok = len(results) - n_failed
+    log.info("measure stage: %d ok, %d failed; outputs in %s", n_ok, n_failed, config.out)
+    return n_failed
 
 
-def _exclusions_cell(exclusions: tuple[str, ...]) -> str:
-    return ";".join(f"{r}:{'+'.join(EXCLUDED_MEASURES[r])}" for r in exclusions) or "-"
-
-
-def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
-    """Write the measure stage's files, ``measures.tsv`` last, so a stage
-    stopped before the end leaves no ``measures.tsv`` for ``analyze`` to read."""
-    tb_rows = [
-        [o.treebank_id, o.language_code, o.status, o.n_sentences, o.n_tokens, o.n_feature_keys,
-         _exclusions_cell(o.exclusions), o.error.replace("\t", " ").replace("\n", " ") or "-"]
-        for o in outcomes
-    ]
+def _write_measure_outputs(results: list[TreebankRows], config: RunConfig):
+    """Write the rows of ``_measure_one`` and the run settings, ``measures.tsv``
+    last, so a stage stopped before the end leaves no ``measures.tsv`` for
+    ``analyze`` to read."""
     _write_tsv(
         os.path.join(config.out, TREEBANKS_TSV),
         {"generator": "morphcomplex", "seed": config.seed},
         TREEBANKS_COLUMNS,
-        tb_rows,
+        [tb_row for tb_row, _, _ in results],
     )
-
-    ia_params = {
-        o.treebank_id: {
-            "ngram_order": o.ia.params.ngram_order,
-            "epochs": o.ia.params.epochs,
-            "mean_accuracy": o.ia.mean_accuracy,
-            "fold_accuracies": list(o.ia.fold_accuracies),
-            "n_draws": config.ia_draws,
-        }
-        for o in outcomes
-        if o.ia is not None
-    }
+    ia_params = {tb_row[0]: ia for tb_row, _, ia in results if ia is not None}
     _write_json(
         os.path.join(config.out, IA_PARAMS_JSON),
         {"seed": config.seed, "treebanks": ia_params},
@@ -303,32 +297,22 @@ def _write_measure_outputs(outcomes: list[TreebankOutcome], config: RunConfig):
         "repetitions": config.repetitions,
         "compressor": COMPRESSOR_SETTING,
     }
-    rows: list[list[object]] = []
-    for outcome in outcomes:
-        if outcome.error:
-            continue
-        for measure in config.measures:
-            # A measure excluded by rule was never computed.
-            stats = outcome.stats.get(measure, MeasureStats(None, None, 0))
-            rows.append([outcome.treebank_id, measure, stats.mean, stats.stddev,
-                         stats.n_repetitions, stats.available])
+    rows = [row for _, measure_rows, _ in results for row in measure_rows]
     _write_tsv(os.path.join(config.out, MEASURES_TSV), meta, MEASURES_COLUMNS, rows)
 
 
 def read_measure_matrix(out_dir: str) -> tuple[MeasureMatrix, int]:
     """The treebank-by-measure matrix of ``measures.tsv``, and the run seed."""
     path = os.path.join(out_dir, MEASURES_TSV)
-    meta, _, rows = _read_tsv(path, MEASURES_COLUMNS)
+    meta, _, rows = _read_tsv(path, MEASURES_COLUMNS, id_columns=2)
     if "seed" not in meta:
         raise ValueError(f"{path}: no '# seed:' line")
     seed = _parse(int, meta["seed"], path, "# seed")
     cells: dict[tuple[str, str], float] = {}
-    listed: set[tuple[str, str]] = set()
     for row in rows:
         tb_id, measure, mean = row[0], row[1], row[2]
-        if (tb_id, measure) in listed:
-            raise ValueError(f"{path}: row {tb_id}/{measure}: listed twice")
-        listed.add((tb_id, measure))
+        if measure not in ALL_MEASURES:
+            raise ValueError(f"{path}: row {tb_id}/{measure}: unknown measure")
         if row[5] not in ("true", "false"):
             raise ValueError(
                 f"{path}: row {tb_id}/{measure}: available is {row[5]!r}, not true or false"
@@ -350,8 +334,11 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     from .wals import encode, load_wals, match_rows
 
     matrix, seed = read_measure_matrix(out_dir)
-    _, _, tb_rows = _read_tsv(os.path.join(out_dir, TREEBANKS_TSV), TREEBANKS_COLUMNS[:2])
+    tb_path = os.path.join(out_dir, TREEBANKS_TSV)
+    _, _, tb_rows = _read_tsv(tb_path, TREEBANKS_COLUMNS[:2], id_columns=1)
     languages = {row[0]: row[1] for row in tb_rows}
+    if missing := [tb for tb in matrix.treebank_ids if tb not in languages]:
+        raise ValueError(f"{tb_path}: row {missing[0]}: missing; {MEASURES_TSV} lists it")
     _remove_outputs(out_dir, "analyze")
     wals_table = None
     if config.wals is not None:  # before any output, so a bad file leaves none
@@ -409,7 +396,7 @@ def run_analyze(out_dir: str, config: RunConfig) -> dict[str, str]:
     if wals_table is not None:
         # Targets over the same languages share one design and one ridge fit.
         row_sets: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
-        tb_codes = np.array([languages.get(tb, "") for tb in matrix.treebank_ids])
+        tb_codes = np.array([languages[tb] for tb in matrix.treebank_ids])
         for name, column in zip(target_names, targets.T):
             rows = ~np.isnan(column)
             try:

@@ -871,6 +871,8 @@ def test_each_failure_logged_once(failure_release, tmp_path, monkeypatch, caplog
     monkeypatch.setattr(measures, "msp", failing_msp)
     with caplog.at_level(logging.INFO):
         assert cli.main(["run-all", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    stage = f"measure stage: 4 ok, 2 failed; outputs in {tmp_path / 'out'}"
+    assert ("morphcomplex.pipeline", stage) in [(r.name, r.getMessage()) for r in caplog.records]
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 2
     assert "bad" in errors[0] and str(root / "bad.conllu") in errors[0]
@@ -890,6 +892,22 @@ def test_failure_traceback_logged_with_verbose(failure_release, tmp_path, monkey
     rows = pipeline._read_tsv(str(out / "treebanks.tsv"))[2]
     assert [r[7] for r in rows if r[0] == "boom"] == [
         "MeasureError: measure 'msp' failed on repetition 0 of boom: ValueError: msp broke"
+    ]
+
+
+def test_failure_message_written_on_one_line(tmp_path, monkeypatch):
+    """A tab or line break in a failure message is a space in its ``error``
+    cell, so the message cannot split the ``treebanks.tsv`` row."""
+    config = write_failure_release(tmp_path)
+
+    def failing_parse(path, tb_id, **kwargs):
+        raise ValueError(f"{tb_id}\tat\nnext line")
+
+    monkeypatch.setattr(pipeline, "parse_conllu_file", failing_parse)
+    assert cli.main(["measure", "--config", config]) == 2
+    rows = pipeline._read_tsv(str(tmp_path / "out" / "treebanks.tsv"))[2]
+    assert [r[7] for r in rows] == [
+        f"ValueError: {tb_id} at next line" for tb_id in ("ok0", "few", "bad", "zh", "boom", "ok1")
     ]
 
 
