@@ -121,7 +121,8 @@ def _read_tsv(
     path: str, columns: Sequence[str] = (), id_columns: int = 0
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """The ``# key: value`` lines, header and rows of a TSV whose header
-    begins with ``columns``; no two rows may share their first ``id_columns`` cells."""
+    begins with ``columns``; with ``id_columns``, no two rows may share
+    their first ``id_columns`` cells."""
     meta: dict[str, str] = {}
     header: list[str] = []
     rows: list[list[str]] = []
